@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"repro/internal/profiling"
 )
 
 // experiment is one runnable experiment.
@@ -80,7 +82,7 @@ func run(argv []string) (code int) {
 		return 2
 	}
 	if *cpuProfile != "" || *memProfile != "" {
-		stop, err := startProfiles(*cpuProfile, *memProfile)
+		stop, err := profiling.Start(*cpuProfile, *memProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "warlock-bench:", err)
 			return 1

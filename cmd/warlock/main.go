@@ -33,6 +33,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -81,7 +82,7 @@ func run(ctx context.Context, args []string) (err error) {
 		return err
 	}
 	if *cpuProfile != "" || *memProfile != "" {
-		stop, perr := startProfiles(*cpuProfile, *memProfile)
+		stop, perr := profiling.Start(*cpuProfile, *memProfile)
 		if perr != nil {
 			return perr
 		}

@@ -303,10 +303,3 @@ func TestRunProfilingFlags(t *testing.T) {
 		}
 	}
 }
-
-func TestRunCPUProfileUnwritable(t *testing.T) {
-	if _, err := capture(t, "-apb1", "-rows", "500000", "-disks", "8",
-		"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.pprof")); err == nil {
-		t.Fatal("unwritable cpu profile path should fail")
-	}
-}

@@ -81,6 +81,17 @@ func (d *SweepDoc) Build() (*core.Input, *sweep.Grid, time.Duration, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	if d.ResponseTargetMs < 0 {
+		return nil, nil, 0, fmt.Errorf("%w: responseTargetMs %g must be non-negative", ErrBadConfig, d.ResponseTargetMs)
+	}
+	target := time.Duration(d.ResponseTargetMs * float64(time.Millisecond))
+	return in, d.grid(), target, nil
+}
+
+// Scenarios returns the number of scenarios the grid expands to.
+func (d *SweepDoc) Scenarios() int { return d.grid().Size() }
+
+func (d *SweepDoc) grid() *sweep.Grid {
 	g := &sweep.Grid{
 		Rows:        d.Grid.Rows,
 		Disks:       d.Grid.Disks,
@@ -94,11 +105,7 @@ func (d *SweepDoc) Build() (*core.Input, *sweep.Grid, time.Duration, error) {
 	for _, sk := range d.Grid.Skews {
 		g.Skews = append(g.Skews, sweep.SkewSetting{Name: sk.Name, Theta: sk.Theta})
 	}
-	if d.ResponseTargetMs < 0 {
-		return nil, nil, 0, fmt.Errorf("%w: responseTargetMs %g must be non-negative", ErrBadConfig, d.ResponseTargetMs)
-	}
-	target := time.Duration(d.ResponseTargetMs * float64(time.Millisecond))
-	return in, g, target, nil
+	return g
 }
 
 // Encode writes the sweep document as indented JSON.

@@ -37,8 +37,8 @@ import (
 //     fragment (costmodel kernel.go) — the transcendental-heavy math runs
 //     O(distinct sizes), not O(fragments).
 //   - Per-worker scratch + chunked dispatch: every worker owns one
-//     costmodel.Scratch for its lifetime (no sync.Pool traffic, buffers
-//     stay hot in one goroutine), and candidates travel through the work
+//     costmodel.Scratch for its lifetime (buffers are reused and stay
+//     hot in one goroutine), and candidates travel through the work
 //     channel in chunks so channel operations amortize across many
 //     candidates instead of costing one synchronization each.
 //   - Intra-candidate sharding: workers park an idle token

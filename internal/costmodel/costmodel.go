@@ -218,8 +218,8 @@ func PlanClass(s *schema.Star, f *fragment.Fragmentation, scheme *bitmap.Scheme,
 }
 
 // planClassInto is PlanClass writing into an existing plan, reusing its
-// Dims capacity — the evaluator's pooled hot path derives every class
-// plan of a candidate without allocating.
+// Dims capacity — the evaluator's scratch-backed hot path derives every
+// class plan of a candidate without allocating.
 func planClassInto(plan *ClassPlan, s *schema.Star, f *fragment.Fragmentation, scheme *bitmap.Scheme, c *workload.Class) {
 	attrs := f.Attrs()
 	dims := plan.Dims
@@ -417,7 +417,7 @@ func Ancestor(v, fineCard, coarseCard int, m skew.Mapping) int {
 // Returns seconds and whether the result is exact. Per-fragment service
 // times come from the size-class table (cls indexed through sz.ClassOf);
 // the per-dimension outcome sets come from the evaluator's memo. sc
-// supplies the pooled cursor/accumulator buffers; sc.rbusy must be
+// supplies the reused cursor/accumulator buffers; sc.rbusy must be
 // all-zero on entry (the pattern evaluation restores the zeros it
 // overwrites).
 func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, cls []sizeClassCost, sampleSeed int64, sc *evalScratch) (float64, bool) {
@@ -504,7 +504,7 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 		return sum / float64(count), true
 	}
 	// Sampling fallback with a deterministic per-(candidate, class) seed:
-	// re-seeding the pooled source replays exactly the sequence a fresh
+	// re-seeding the scratch's source replays exactly the sequence a fresh
 	// rand.New(rand.NewSource(seed)) would produce.
 	sc.rng.Seed(sampleSeed)
 	var sum float64

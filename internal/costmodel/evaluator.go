@@ -36,12 +36,6 @@ type Evaluator struct {
 	shares [][]func() ([]float64, error)
 	// capacityPages is the disk pool's total page capacity.
 	capacityPages int64
-	// scratch pools the per-candidate evaluation buffers (size-class cost
-	// tables, per-disk busy accumulators, hit-pattern cursors, class
-	// plans) for plain Evaluate calls; pipeline workers bypass the pool
-	// with a worker-owned Scratch (NewScratch/EvaluateWith). Scratch
-	// never escapes into an Evaluation; reuse cannot change results.
-	scratch sync.Pool
 	// outMu/outcomes memoize the per-dimension hit-outcome sets of the
 	// response-time expectation. The sets depend only on (DimCase,
 	// FragCard, QueryCard) under the evaluator's fixed mapping, so a
@@ -137,23 +131,17 @@ func (e *Evaluator) geometry(f *fragment.Fragmentation) (*fragment.Geometry, err
 
 // Evaluate runs the full model for one candidate. It is goroutine-safe:
 // concurrent evaluations of different (or identical) candidates on the
-// same Evaluator produce identical results to sequential ones. Callers
-// pricing long candidate streams from dedicated worker goroutines should
-// prefer EvaluateWith with a worker-owned Scratch.
+// same Evaluator produce identical results to sequential ones. Each call
+// allocates its working set; callers pricing long candidate streams from
+// dedicated worker goroutines should use EvaluateWith with a
+// worker-owned Scratch instead.
 func (e *Evaluator) Evaluate(f *fragment.Fragmentation) (*Evaluation, error) {
-	sc := e.getScratch(e.cfg.Disk.Disks, len(f.Attrs()), len(e.cfg.Mix.Classes))
-	// The scratch returns to the pool only on a normal return: a panic
-	// may abandon it mid-mutation, and a poisoned scratch handed to a
-	// later evaluation could corrupt an unrelated candidate. On panic it
-	// is simply dropped — the pool reallocates.
-	ev, err := e.evaluate(f, sc)
-	e.scratch.Put(sc)
-	return ev, err
+	return e.EvaluateWith(e.NewScratch(nil), f)
 }
 
 // EvaluateWith is Evaluate using a worker-owned Scratch (see NewScratch):
-// identical results, no pool traffic. The Scratch must not be shared
-// between goroutines concurrently.
+// identical results, and the buffers are reused across calls. The
+// Scratch must not be shared between goroutines concurrently.
 func (e *Evaluator) EvaluateWith(sc *Scratch, f *fragment.Fragmentation) (*Evaluation, error) {
 	sc.es.resize(e.cfg.Disk.Disks, len(f.Attrs()), len(e.cfg.Mix.Classes))
 	return e.evaluate(f, sc.es)

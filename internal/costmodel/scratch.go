@@ -5,13 +5,8 @@ import "math/rand"
 // evalScratch is the per-candidate working set of the evaluation hot
 // path. Nothing in it escapes into an Evaluation (per-class costs and
 // disk profiles are still freshly allocated), so reuse cannot change
-// results; the zeroing discipline is documented at each use site.
-//
-// Ownership comes in two flavours: Evaluate draws from the Evaluator's
-// sync.Pool per call (convenient for one-off callers), while pipeline
-// workers own one scratch for their whole lifetime via Scratch /
-// EvaluateWith — no pool traffic, no cross-CPU buffer migration on the
-// hot path.
+// results; the zeroing discipline is documented at each use site. It is
+// always owned through a Scratch (see there).
 type evalScratch struct {
 	// cls is the size-class cost table of the class currently being
 	// priced (see kernel.go); every entry is overwritten by
@@ -40,8 +35,8 @@ type evalScratch struct {
 	// rand.New(rand.NewSource(seed)) would.
 	rng *rand.Rand
 	// sharder is the pipeline's idle-worker token pool for intra-candidate
-	// sharding of the kernel fill; nil disables sharding (pooled Evaluate
-	// scratches never shard).
+	// sharding of the kernel fill; nil disables sharding (plain Evaluate
+	// never shards).
 	sharder *Sharder
 }
 
@@ -76,23 +71,12 @@ func (sc *evalScratch) resize(disks, dims, classes int) {
 	sc.plans = sc.plans[:classes]
 }
 
-// getScratch returns a pooled scratch sized for the candidate.
-func (e *Evaluator) getScratch(disks, dims, classes int) *evalScratch {
-	sc, _ := e.scratch.Get().(*evalScratch)
-	if sc == nil {
-		sc = newEvalScratch()
-	}
-	sc.resize(disks, dims, classes)
-	return sc
-}
-
-// Scratch is an evaluation working set owned by one worker goroutine for
-// its lifetime. A pipeline worker creates one Scratch up front and
-// threads it through EvaluateWith for every candidate it prices,
-// replacing per-candidate sync.Pool traffic with exclusive ownership.
-// A Scratch must not be used from two goroutines concurrently; results
-// are bit-identical whether evaluations share a Scratch, use distinct
-// ones, or go through plain Evaluate.
+// Scratch is an evaluation working set owned by one goroutine. A
+// pipeline worker creates one Scratch up front and threads it through
+// EvaluateWith for every candidate it prices; plain Evaluate uses a fresh
+// one per call. A Scratch must not be used from two goroutines
+// concurrently; results are bit-identical whether evaluations share a
+// Scratch, use distinct ones, or go through plain Evaluate.
 type Scratch struct {
 	es *evalScratch
 }

@@ -1,4 +1,6 @@
-package main
+// Package profiling gives the command-line tools their -cpuprofile and
+// -memprofile flags.
+package profiling
 
 import (
 	"fmt"
@@ -7,13 +9,13 @@ import (
 	"runtime/pprof"
 )
 
-// startProfiles starts CPU profiling to cpuPath (when non-empty) and
-// returns a stop function that finishes the CPU profile and writes a heap
-// profile to memPath (when non-empty). It is the CLI counterpart of
-// warlockd's -pprof HTTP handlers: hot-path regressions stay diagnosable
-// without standing up the daemon. Either path may be empty; the stop
-// function must run before the process exits (os.Exit skips defers).
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+// Start starts CPU profiling to cpuPath (when non-empty) and returns a
+// stop function that finishes the CPU profile and writes a heap profile
+// to memPath (when non-empty). It is the CLI counterpart of warlockd's
+// -pprof HTTP handlers: hot-path regressions stay diagnosable without
+// standing up the daemon. Either path may be empty; the stop function
+// must run before the process exits (os.Exit skips defers).
+func Start(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)

@@ -112,26 +112,35 @@ func wantsEnvelope(r *http.Request) bool {
 	return false
 }
 
+// errorClass is how one failure renders: HTTP status, error code,
+// Retry-After hint in seconds (0 for none) and message.
+type errorClass struct {
+	status int
+	code   string
+	retry  int
+	err    error
+}
+
 // writeError renders one error response: the legacy {"error": message}
 // JSON object by default, or the structured envelope
 // {"error":{"code","message","retry_after_seconds"}} when the client's
-// Accept header names application/json. retrySecs > 0 additionally sets
-// the Retry-After header (and the envelope field) so shed clients back
-// off proportionally to the backlog they hit.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code string, retrySecs int, err error) int {
+// Accept header names application/json. A retry hint > 0 additionally
+// sets the Retry-After header (and the envelope field) so shed clients
+// back off proportionally to the backlog they hit.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, c errorClass) int {
 	w.Header().Set("Content-Type", "application/json")
-	if retrySecs > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySecs))
+	if c.retry > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(c.retry))
 	}
-	w.WriteHeader(status)
+	w.WriteHeader(c.status)
 	if wantsEnvelope(r) {
 		json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{
-			Code:           code,
-			Message:        err.Error(),
-			RetryAfterSecs: retrySecs,
+			Code:           c.code,
+			Message:        c.err.Error(),
+			RetryAfterSecs: c.retry,
 		}})
 	} else {
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		json.NewEncoder(w).Encode(map[string]string{"error": c.err.Error()})
 	}
-	return status
+	return c.status
 }

@@ -62,12 +62,11 @@ func (h *histogram) write(w io.Writer, name, endpoint, stage string) {
 // is the full handler latency of every request (hits and coalesced
 // waiters included).
 type endpointStats struct {
-	name                              string
 	parse, queue, evaluate, serialize histogram
 	total                             histogram
 }
 
-func (e *endpointStats) write(w io.Writer, metric string) {
+func (e *endpointStats) write(w io.Writer, metric, endpoint string) {
 	for _, s := range []struct {
 		stage string
 		h     *histogram
@@ -78,7 +77,7 @@ func (e *endpointStats) write(w io.Writer, metric string) {
 		{"serialize", &e.serialize},
 		{"total", &e.total},
 	} {
-		s.h.write(w, metric, e.name, s.stage)
+		s.h.write(w, metric, endpoint, s.stage)
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/sweep"
 )
@@ -31,12 +29,6 @@ import (
 //
 // The document kind is sniffed from its shape (a top-level "base" key
 // marks a sweep) and can be forced with ?kind=advise|sweep.
-
-// Job document kinds.
-const (
-	jobKindAdvise = "advise"
-	jobKindSweep  = "sweep"
-)
 
 // JobSubmitResponse is the JSON body of a successful POST /v1/jobs.
 type JobSubmitResponse struct {
@@ -73,15 +65,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.handleJobList(w, r)
 	default:
 		w.Header().Set("Allow", "GET, HEAD, POST")
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0,
-			errors.New("GET, HEAD or POST required"))
+		s.writeError(w, r, errorClass{http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0,
+			errors.New("GET, HEAD or POST required")})
 	}
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		s.writeParseError(w, r, err)
+		s.writeError(w, r, parseErrorClass(err))
 		return
 	}
 	kind := r.URL.Query().Get("kind")
@@ -93,11 +85,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		var bad *badSpecError
 		switch {
 		case errors.As(err, &bad):
-			s.writeParseError(w, r, bad.err)
+			s.writeError(w, r, parseErrorClass(bad.err))
 		case errors.Is(err, jobs.ErrStoreFull):
-			s.writeError(w, r, http.StatusServiceUnavailable, CodeJobsFull, s.jobsRetryAfter(), err)
+			s.writeError(w, r, errorClass{http.StatusServiceUnavailable, CodeJobsFull, s.jobsRetryAfter(), err})
 		default:
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, 0, err)
+			s.writeError(w, r, errorClass{http.StatusInternalServerError, CodeInternal, 0, err})
 		}
 		return
 	}
@@ -131,33 +123,29 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
 	switch {
 	case id == "" || (sub != "" && sub != "result"):
-		s.writeError(w, r, http.StatusNotFound, CodeNotFound, 0, errors.New("unknown job route"))
+		s.writeError(w, r, errorClass{http.StatusNotFound, CodeNotFound, 0, errors.New("unknown job route")})
 	case sub == "result":
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0,
-				errors.New("GET or HEAD required"))
-			return
+		if s.allowGetHead(w, r) {
+			s.handleJobResult(w, r, id)
 		}
-		s.handleJobResult(w, r, id)
 	case r.Method == http.MethodGet || r.Method == http.MethodHead:
 		j, ok := s.jobs.Get(id)
 		if !ok {
-			s.writeError(w, r, http.StatusNotFound, CodeNotFound, 0, fmt.Errorf("no job %s", id))
+			s.writeError(w, r, errorClass{http.StatusNotFound, CodeNotFound, 0, fmt.Errorf("no job %s", id)})
 			return
 		}
 		writeJobJSON(w, http.StatusOK, j.Status())
 	case r.Method == http.MethodDelete:
 		j, ok := s.jobs.Cancel(id)
 		if !ok {
-			s.writeError(w, r, http.StatusNotFound, CodeNotFound, 0, fmt.Errorf("no job %s", id))
+			s.writeError(w, r, errorClass{http.StatusNotFound, CodeNotFound, 0, fmt.Errorf("no job %s", id)})
 			return
 		}
 		writeJobJSON(w, http.StatusOK, j.Status())
 	default:
 		w.Header().Set("Allow", "GET, HEAD, DELETE")
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0,
-			errors.New("GET, HEAD or DELETE required"))
+		s.writeError(w, r, errorClass{http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0,
+			errors.New("GET, HEAD or DELETE required")})
 	}
 }
 
@@ -167,22 +155,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id string) {
 	j, ok := s.jobs.Get(id)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, CodeNotFound, 0, fmt.Errorf("no job %s", id))
+		s.writeError(w, r, errorClass{http.StatusNotFound, CodeNotFound, 0, fmt.Errorf("no job %s", id)})
 		return
 	}
 	b, err, done := j.Result()
 	switch {
 	case !done:
-		s.writeError(w, r, http.StatusConflict, CodeNotReady, 1,
-			fmt.Errorf("job %s is %s; result not ready", id, j.State()))
+		s.writeError(w, r, errorClass{http.StatusConflict, CodeNotReady, 1,
+			fmt.Errorf("job %s is %s; result not ready", id, j.State())})
 	case j.State() == jobs.StateCancelled:
-		s.writeError(w, r, http.StatusGone, CodeCancelled, 0, fmt.Errorf("job %s was cancelled", id))
-	case errors.Is(err, config.ErrBadConfig):
-		s.writeParseError(w, r, err)
-	case errors.Is(err, core.ErrNoFeasible):
-		s.writeError(w, r, http.StatusUnprocessableEntity, CodeUnfeasible, 0, err)
+		s.writeError(w, r, errorClass{http.StatusGone, CodeCancelled, 0, fmt.Errorf("job %s was cancelled", id)})
 	case err != nil:
-		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, 0, err)
+		// A job has no client deadline, and it counts into no request counter.
+		s.writeError(w, r, s.advisoryErrorClass(context.Background(), err))
 	default:
 		writeJSON(w, b, "job")
 	}
@@ -203,64 +188,52 @@ func sniffKind(spec []byte) string {
 		Base json.RawMessage `json:"base"`
 	}
 	if json.Unmarshal(spec, &probe) == nil && len(probe.Base) > 0 {
-		return jobKindSweep
+		return kindSweep
 	}
-	return jobKindAdvise
+	return kindAdvise
 }
 
 // submitJobSpec validates one submission document and registers it with
 // the job manager; it is the single entry point for both fresh POSTs and
 // restart recovery (which passes the persisted checkpoints as resume).
 func (s *Server) submitJobSpec(kind string, spec []byte, resume map[int]json.RawMessage) (*jobs.Job, bool, error) {
-	switch kind {
-	case jobKindAdvise:
-		doc, err := config.Parse(bytes.NewReader(spec))
+	for _, ep := range s.endpoints() {
+		if ep.kind != kind {
+			continue
+		}
+		req, err := ep.parse(bytes.NewReader(spec))
 		if err != nil {
 			return nil, false, &badSpecError{err}
 		}
-		fp := doc.Fingerprint()
 		return s.jobs.Submit(jobs.Request{
-			Kind: kind, ID: fp, Spec: spec, Resume: resume,
-			Run: s.adviseRunner(doc, fp),
+			Kind: kind, ID: req.fp, Spec: spec, Resume: resume,
+			Run: s.runner(ep, req),
 		})
-	case jobKindSweep:
-		doc, err := config.ParseSweep(bytes.NewReader(spec))
-		if err != nil {
-			return nil, false, &badSpecError{err}
-		}
-		fp := doc.Fingerprint()
-		return s.jobs.Submit(jobs.Request{
-			Kind: kind, ID: fp, Spec: spec, Resume: resume,
-			Run: s.sweepRunner(doc, fp),
-		})
-	default:
-		return nil, false, &badSpecError{fmt.Errorf("unknown job kind %q (want %q or %q)", kind, jobKindAdvise, jobKindSweep)}
 	}
+	return nil, false, &badSpecError{fmt.Errorf("unknown job kind %q (want %q or %q)", kind, kindAdvise, kindSweep)}
 }
 
-// adviseRunner executes an advise job through the same evaluation path
-// as POST /v1/advise — response cache, schema interning, and the shared
-// evaluation semaphore included — so the job's result bytes match the
-// synchronous response exactly.
-func (s *Server) adviseRunner(doc *config.Document, fp string) jobs.Runner {
+// runner executes a job through the synchronous route's leader path —
+// response cache, schema interning and the shared evaluation semaphore
+// included — so the job's result bytes match the synchronous response
+// exactly. A finished job reports all of its scenarios done; those the
+// run did not stream itself (an advisory, or anything answered from the
+// response cache) are credited to the scenario counter here.
+func (s *Server) runner(ep *endpoint, req *request) jobs.Runner {
+	n := req.scenarios
 	return func(ctx context.Context, j *jobs.Job) ([]byte, error) {
-		j.Update(func(p *jobs.Progress) { p.ScenariosTotal = 1 })
-		b, err := s.evalAdvise(ctx, doc, fp, &stageTimes{})
+		j.Update(func(p *jobs.Progress) { p.ScenariosTotal = n })
+		b, err := s.lead(ctx, ep, req, &stageTimes{}, j)
 		if err != nil {
 			return nil, err
 		}
-		j.Update(func(p *jobs.Progress) { p.ScenariosDone = 1 })
-		j.AddScenarios(1)
+		var unreported int
+		j.Update(func(p *jobs.Progress) {
+			unreported = n - p.ScenariosDone
+			p.ScenariosDone = n
+		})
+		j.AddScenarios(unreported)
 		return b, nil
-	}
-}
-
-// sweepRunner executes a sweep job through the same evaluation path as
-// POST /v1/sweep, additionally streaming per-scenario progress into the
-// job and checkpointing each completed representative scenario.
-func (s *Server) sweepRunner(doc *config.SweepDoc, fp string) jobs.Runner {
-	return func(ctx context.Context, j *jobs.Job) ([]byte, error) {
-		return s.evalSweep(ctx, doc, fp, &stageTimes{}, j)
 	}
 }
 
@@ -314,11 +287,11 @@ func decodeResume(raw map[int]json.RawMessage) map[int]sweep.Outcome {
 // recoverJobs resubmits jobs a previous process left unfinished on disk,
 // feeding their persisted checkpoints back as resume state so completed
 // scenarios are replayed instead of re-evaluated.
-func (s *Server) recoverJobs() {
-	if s.jobsDir == "" {
+func (s *Server) recoverJobs(dir string) {
+	if dir == "" {
 		return
 	}
-	pending, errs := jobs.LoadPending(s.jobsDir)
+	pending, errs := jobs.LoadPending(dir)
 	for _, err := range errs {
 		s.logf("warlockd: job recovery: %v", err)
 	}

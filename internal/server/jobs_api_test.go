@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -269,7 +270,7 @@ func TestJobAdviseLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
-	if receipt.Kind != jobKindAdvise || receipt.Coalesced || receipt.ID == "" {
+	if receipt.Kind != kindAdvise || receipt.Coalesced || receipt.ID == "" {
 		t.Fatalf("receipt: %+v", receipt)
 	}
 	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+receipt.ID {
@@ -353,7 +354,7 @@ func TestJobSweepLifecycleByteIdentical(t *testing.T) {
 
 	var receipt JobSubmitResponse
 	resp := jobRequest(t, ts, http.MethodPost, "/v1/jobs", doc, &receipt)
-	if resp.StatusCode != http.StatusAccepted || receipt.Kind != jobKindSweep {
+	if resp.StatusCode != http.StatusAccepted || receipt.Kind != kindSweep {
 		t.Fatalf("submit: %d %+v", resp.StatusCode, receipt)
 	}
 
@@ -549,7 +550,7 @@ func TestJobRestartResume(t *testing.T) {
 	sf, err := json.Marshal(struct {
 		Kind string          `json:"kind"`
 		Spec json.RawMessage `json:"spec"`
-	}{Kind: jobKindSweep, Spec: spec})
+	}{Kind: kindSweep, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +576,7 @@ func TestJobRestartResume(t *testing.T) {
 	if st.State != jobs.StateDone {
 		t.Fatalf("recovered job state = %s (error %q)", st.State, st.Error)
 	}
-	if st.Kind != jobKindSweep {
+	if st.Kind != kindSweep {
 		t.Fatalf("recovered kind = %q", st.Kind)
 	}
 	if st.Progress.ScenariosResumed == 0 {
@@ -682,13 +683,136 @@ func TestJobResultNotReady(t *testing.T) {
 }
 
 func TestJobKindSniffing(t *testing.T) {
-	if k := sniffKind(encodeDoc(t, tinyDoc(1000))); k != jobKindAdvise {
+	if k := sniffKind(encodeDoc(t, tinyDoc(1000))); k != kindAdvise {
 		t.Fatalf("advise doc sniffed as %q", k)
 	}
-	if k := sniffKind(encodeSweepDoc(t, tinySweepDoc(1000))); k != jobKindSweep {
+	if k := sniffKind(encodeSweepDoc(t, tinySweepDoc(1000))); k != kindSweep {
 		t.Fatalf("sweep doc sniffed as %q", k)
 	}
-	if k := sniffKind([]byte("garbage")); k != jobKindAdvise {
+	if k := sniffKind([]byte("garbage")); k != kindAdvise {
 		t.Fatalf("garbage sniffed as %q", k)
+	}
+}
+
+// TestJobAnsweredFromCacheReportsFullProgress: a job whose document the
+// response cache already holds finishes without evaluating, yet reports
+// every scenario done and credits them to the scenario counter, for both
+// kinds alike.
+func TestJobAnsweredFromCacheReportsFullProgress(t *testing.T) {
+	for _, tc := range []struct {
+		route     string
+		doc       []byte
+		scenarios int
+	}{
+		{"/v1/advise", encodeDoc(t, tinyDoc(100_000)), 1},
+		{"/v1/sweep", encodeSweepDoc(t, tinySweepDoc(100_000)), 4},
+	} {
+		t.Run(strings.TrimPrefix(tc.route, "/v1/"), func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{})
+			if code, _, _ := post(t, ts, tc.route, tc.doc); code != http.StatusOK {
+				t.Fatalf("sync %s: %d", tc.route, code)
+			}
+			var receipt JobSubmitResponse
+			jobRequest(t, ts, http.MethodPost, "/v1/jobs", tc.doc, &receipt)
+			st := waitJob(t, ts, receipt.ID)
+			if st.State != jobs.StateDone {
+				t.Fatalf("state = %s (error %q)", st.State, st.Error)
+			}
+			if st.Progress.ScenariosDone != tc.scenarios || st.Progress.ScenariosTotal != tc.scenarios {
+				t.Fatalf("progress %d/%d, want %d/%d", st.Progress.ScenariosDone,
+					st.Progress.ScenariosTotal, tc.scenarios, tc.scenarios)
+			}
+			m := srv.Metrics()
+			if m.Evaluations != 1 {
+				t.Fatalf("evaluations = %d: the job was not answered from the cache", m.Evaluations)
+			}
+			if m.Jobs.ScenariosCompleted != int64(tc.scenarios) {
+				t.Fatalf("scenarios completed = %d, want %d", m.Jobs.ScenariosCompleted, tc.scenarios)
+			}
+		})
+	}
+}
+
+// TestJobResultKeepsOverloadTaxonomy: a job that failed because the
+// evaluation queue was overloaded reports that on its result route the
+// way the synchronous routes do — 503 with the shed or queue_timeout code
+// and a Retry-After hint — without counting into the synchronous
+// overload counters.
+func TestJobResultKeepsOverloadTaxonomy(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		queued int64 // synchronous requests parked before the job arrives
+		code   string
+	}{
+		{"shed", Config{MaxConcurrent: 1, MaxQueue: 1, MaxRunningJobs: 2}, 1, CodeShed},
+		{"queue_timeout", Config{MaxConcurrent: 1, QueueTimeout: 20 * time.Millisecond, MaxRunningJobs: 2}, 0, CodeQueueTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, tc.cfg)
+			release := make(chan struct{})
+			var releaseOnce sync.Once
+			unblock := func() { releaseOnce.Do(func() { close(release) }) }
+			t.Cleanup(unblock)                // runs before the server's cleanup, even on failure
+			entered := make(chan struct{}, 4) // room for every evaluation, so the hook never blocks
+			srv.evalHook = func(ctx context.Context) {
+				entered <- struct{}{}
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
+			codes := make(chan int, 4) // room for every synchronous request
+			postAsync := func(doc []byte) {
+				go func() {
+					resp, err := ts.Client().Post(ts.URL+"/v1/advise", "application/json", bytes.NewReader(doc))
+					if err != nil {
+						codes <- 0
+						return
+					}
+					resp.Body.Close()
+					codes <- resp.StatusCode
+				}()
+			}
+			postAsync(encodeDoc(t, tinyDoc(100_000)))
+			<-entered // the only evaluation slot is held
+			for i := int64(0); i < tc.queued; i++ {
+				postAsync(encodeDoc(t, tinyDoc(200_000+i)))
+			}
+			waitFor(t, "queued requests", func() bool { return srv.queued.Load() == tc.queued })
+
+			var receipt JobSubmitResponse
+			jobRequest(t, ts, http.MethodPost, "/v1/jobs", encodeDoc(t, tinyDoc(300_000)), &receipt)
+			if st := waitJob(t, ts, receipt.ID); st.State != jobs.StateFailed {
+				t.Fatalf("job state = %s, want failed", st.State)
+			}
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+receipt.ID+"/result", nil)
+			req.Header.Set("Accept", "application/json")
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Error errorBody `json:"error"`
+			}
+			json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != tc.code {
+				t.Fatalf("job result: %d %+v, want 503 %s", resp.StatusCode, env, tc.code)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("overloaded job result missing Retry-After")
+			}
+			if m := srv.Metrics(); m.Shed != 0 || m.Timeouts != 0 {
+				t.Fatalf("job failure counted as synchronous overload: shed=%d timeouts=%d", m.Shed, m.Timeouts)
+			}
+
+			unblock()
+			for i := int64(0); i <= tc.queued; i++ {
+				if code := <-codes; code != http.StatusOK {
+					t.Fatalf("synchronous request: %d", code)
+				}
+			}
+		})
 	}
 }

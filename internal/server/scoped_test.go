@@ -294,9 +294,9 @@ func TestCoalescedFlightSurvivesDepartingWaiter(t *testing.T) {
 		close(bDone)
 	}()
 	waitFor(t, "waiter to attach", func() bool {
-		srv.adviseFlight.mu.Lock()
-		defer srv.adviseFlight.mu.Unlock()
-		f, ok := srv.adviseFlight.flights[fp]
+		srv.advise.flight.mu.Lock()
+		defer srv.advise.flight.mu.Unlock()
+		f, ok := srv.advise.flight.flights[fp]
 		return ok && f.waiters == 2
 	})
 	wcancel()
@@ -305,9 +305,9 @@ func TestCoalescedFlightSurvivesDepartingWaiter(t *testing.T) {
 	// The flight must still be live: the leader's evaluation context was
 	// not cancelled by B's departure.
 	waitFor(t, "waiter accounting", func() bool { return srv.Metrics().ClientGone == 1 })
-	srv.adviseFlight.mu.Lock()
-	f := srv.adviseFlight.flights[fp]
-	srv.adviseFlight.mu.Unlock()
+	srv.advise.flight.mu.Lock()
+	f := srv.advise.flight.flights[fp]
+	srv.advise.flight.mu.Unlock()
 	if f == nil {
 		t.Fatal("flight vanished after one waiter departed")
 	}

@@ -1,47 +1,38 @@
 // Package server implements warlockd, the long-running WARLOCK advisory
-// service. The paper frames WARLOCK as an interactive tool an
-// administrator consults repeatedly while exploring configurations; this
-// package turns the advisor pipeline into a network service that
-// amortizes warm state across requests the way the sweep engine
-// amortizes it across scenarios:
+// service. The paper frames WARLOCK as a tool an administrator consults
+// again and again while exploring configurations; the service amortizes
+// warm state across those consultations. It serves two advisory kinds,
+// each one value of the endpoint type:
 //
-//   - POST /v1/advise takes a config.Document (the same JSON the warlock
-//     CLI's -config mode reads) and returns the ranked advisory as JSON.
-//   - POST /v1/sweep takes a config.SweepDoc (-sweep mode) and returns
-//     the machine-readable sweep report.
-//   - GET /healthz is a liveness probe; GET /metrics exposes plain-text
-//     counters (hits, misses, coalesced, in-flight, evaluations,
-//     timeouts, shed, client-gone) and per-endpoint stage latency
-//     histograms (parse/queue/evaluate/serialize/total).
+//	kind    document         scenarios  pipeline            route
+//	advise  config.Document  1          core.AdviseContext  POST /v1/advise
+//	sweep   config.SweepDoc  grid size  sweep.Run           POST /v1/sweep
 //
-// Three layers remove repeated work:
+// The kind also names the POST /v1/jobs kind (jobs.go) and the endpoint
+// label of the /metrics stage histograms. Each endpoint owns a response
+// cache and a singleflight group; its synchronous route, its jobs and
+// restart recovery all evaluate through one leader path (Server.lead).
+// GET /healthz is a liveness probe. Three layers remove repeated work:
 //
-//  1. An LRU response cache keyed by config.Fingerprint — the canonical,
-//     order-insensitive hash of the parsed request — replays cached
-//     advisories byte-identically.
+//  1. The LRU response cache, keyed by the document's canonical,
+//     order-insensitive fingerprint, replays responses byte-identically.
 //  2. Singleflight coalescing: N concurrent requests with one
-//     fingerprint trigger exactly one pipeline evaluation; the rest
-//     share its result.
-//  3. A costmodel.Cache per schema identity (config.SchemaFingerprint):
-//     distinct-but-same-schema requests share interned *schema.Star
-//     values and therefore attribute share vectors and candidate
-//     geometries, which the evaluation cache keys by schema pointer.
+//     fingerprint trigger exactly one pipeline evaluation.
+//  3. A costmodel.Cache per schema identity (config.SchemaFingerprint),
+//     shared by both kinds: same-schema requests share one interned
+//     *schema.Star and so its share vectors and candidate geometries.
 //
-// Every evaluation is request-scoped: the pipeline runs under a context
-// derived from the server's lifetime but cancelled as soon as no client
-// is waiting for the result. A lone client that disconnects or exceeds
-// the configured RequestTimeout aborts its own evaluation; a coalesced
-// flight keeps running until its last waiter departs, and its result
-// stays cached for the survivors. Under overload the evaluation queue is
-// bounded (MaxQueue) and waits are bounded (QueueTimeout): excess load
-// is shed with 503 + Retry-After before it touches the semaphore.
+// A synchronous evaluation runs under a context that is cancelled as
+// soon as no client waits for it: a lone client that disconnects or
+// exceeds RequestTimeout aborts its own evaluation, while a coalesced
+// flight runs until its last waiter departs. Under overload the
+// evaluation queue is bounded (MaxQueue) and waits are bounded
+// (QueueTimeout): excess load is shed with 503 + Retry-After.
 //
 // Every cached or coalesced response is byte-for-byte identical to the
 // cold response for any document with the same fingerprint: requests are
-// evaluated in canonical form (config.Document.Canonical), the cache
-// stores exactly the bytes a cold evaluation produced, and the
-// evaluation cache's values are bit-identical to uncached computation by
-// construction.
+// evaluated in canonical form, and the cache stores exactly the bytes a
+// cold evaluation produced.
 package server
 
 import (
@@ -267,22 +258,15 @@ type Server struct {
 	logger        *log.Logger
 	queued        atomic.Int64
 
-	adviseStats endpointStats
-	sweepStats  endpointStats
+	advise, sweep *endpoint // the advisory kinds
 
-	jobs    *jobs.Manager
-	jobsDir string
+	jobs *jobs.Manager
 
 	allowPartial bool
 	faults       *faults.Registry
 
-	mu          sync.Mutex
-	adviseCache *lru.Cache[string, []byte]
-	sweepCache  *lru.Cache[string, []byte]
-	schemas     *lru.Cache[string, *schemaEntry]
-
-	adviseFlight flightGroup[[]byte]
-	sweepFlight  flightGroup[[]byte]
+	mu      sync.Mutex // guards the response caches and schemas
+	schemas *lru.Cache[string, *schemaEntry]
 
 	// evalHook, when set (tests only), runs on the flight leader between
 	// semaphore acquisition and the pipeline, under the evaluation
@@ -324,14 +308,12 @@ func New(cfg Config) *Server {
 		maxQueue:      cfg.MaxQueue,
 		slowThreshold: cfg.SlowRequestThreshold,
 		logger:        cfg.Logger,
-		adviseStats:   endpointStats{name: "advise"},
-		sweepStats:    endpointStats{name: "sweep"},
-		adviseCache:   lru.New[string, []byte](cacheSize),
-		sweepCache:    lru.New[string, []byte](cacheSize),
 		schemas:       lru.New[string, *schemaEntry](schemaSize),
 		allowPartial:  cfg.AllowPartial,
 		faults:        cfg.Faults,
 	}
+	s.advise = &endpoint{kind: kindAdvise, parse: s.parseAdvise, cache: lru.New[string, []byte](cacheSize)}
+	s.sweep = &endpoint{kind: kindSweep, parse: parseSweep, cache: lru.New[string, []byte](cacheSize)}
 	maxRunning := cfg.MaxRunningJobs
 	if maxRunning <= 0 {
 		// At least one evaluation slot stays out of the job pool's reach,
@@ -341,7 +323,6 @@ func New(cfg Config) *Server {
 			maxRunning = 1
 		}
 	}
-	s.jobsDir = cfg.JobsDir
 	s.jobs = jobs.New(jobs.Config{
 		TTL:        cfg.JobTTL,
 		MaxJobs:    cfg.MaxJobs,
@@ -351,13 +332,14 @@ func New(cfg Config) *Server {
 		Transient:  transientJobError,
 		Faults:     cfg.Faults,
 	})
-	s.mux.HandleFunc("/v1/advise", s.handleAdvise)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
+	for _, ep := range s.endpoints() {
+		s.mux.HandleFunc("/v1/"+ep.kind, s.serve(ep))
+	}
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("/v1/jobs/", s.handleJob)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.recoverJobs()
+	s.recoverJobs(cfg.JobsDir)
 	return s
 }
 
@@ -387,8 +369,7 @@ func (s *Server) Metrics() Metrics {
 	m.Jobs = s.jobs.Totals()
 	m.JobsStored = s.jobs.Len()
 	s.mu.Lock()
-	m.AdviseEntries = s.adviseCache.Len()
-	m.SweepEntries = s.sweepCache.Len()
+	m.AdviseEntries, m.SweepEntries = s.advise.cache.Len(), s.sweep.cache.Len()
 	m.SchemaEntries = s.schemas.Len()
 	s.mu.Unlock()
 	return m
@@ -400,147 +381,196 @@ func (s *Server) count(f func(*Metrics)) {
 	s.cmu.Unlock()
 }
 
-// evalFunc is one parsed request's evaluation path, run by at most one
-// flight leader; st receives the leader's stage durations.
-type evalFunc func(ctx context.Context, st *stageTimes) ([]byte, error)
+// The advisory kinds: route /v1/{kind}, job kind and /metrics label.
+const kindAdvise, kindSweep = "advise", "sweep"
 
-// parseFunc decodes one endpoint's request body into its fingerprint
-// and evaluation closure.
-type parseFunc func(body io.Reader) (fp string, eval evalFunc, err error)
-
-// handleAdvise serves POST /v1/advise: one full advisory for one
-// configuration document.
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	s.serveAdvisory(w, r, &s.adviseStats, s.adviseCache, &s.adviseFlight,
-		func(body io.Reader) (string, evalFunc, error) {
-			doc, err := config.Parse(body)
-			if err != nil {
-				return "", nil, err
-			}
-			fp := doc.Fingerprint()
-			return fp, func(ctx context.Context, st *stageTimes) ([]byte, error) {
-				return s.evalAdvise(ctx, doc, fp, st)
-			}, nil
-		})
+// endpoint is one advisory kind and the state the service keeps per kind,
+// shared by its synchronous route (serve) and its jobs (runner); the
+// kinds differ only in parse.
+type endpoint struct {
+	kind   string
+	parse  func(body io.Reader) (*request, error)
+	cache  *lru.Cache[string, []byte] // guarded by Server.mu
+	flight flightGroup[[]byte]
+	stats  endpointStats
 }
 
-// handleSweep serves POST /v1/sweep: a what-if scenario grid evaluated
-// through the shared, memoizing sweep pipeline.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveAdvisory(w, r, &s.sweepStats, s.sweepCache, &s.sweepFlight,
-		func(body io.Reader) (string, evalFunc, error) {
-			doc, err := config.ParseSweep(body)
-			if err != nil {
-				return "", nil, err
-			}
-			fp := doc.Fingerprint()
-			return fp, func(ctx context.Context, st *stageTimes) ([]byte, error) {
-				return s.evalSweep(ctx, doc, fp, st, nil)
-			}, nil
-		})
+// endpoints lists the advisory kinds in /metrics order.
+func (s *Server) endpoints() []*endpoint { return []*endpoint{s.advise, s.sweep} }
+
+// request is one parsed document, reduced to what the shared paths need.
+type request struct {
+	fp        string
+	scenarios int // 1 for advise, the grid size for sweep
+	// build is the per-kind middle of lead: the canonical input, its
+	// schema identity, and the pipeline run that lead calls once it holds
+	// an evaluation slot. j is the job running the request, or nil.
+	build func(j *jobs.Job) (in *core.Input, schemaKey string, run runFunc, err error)
 }
 
-// serveAdvisory is the request-scoped shape both advisory endpoints
-// share: derive the request context (client context + RequestTimeout),
-// parse, consult the response cache, and run or join a singleflight
-// whose evaluation context lives exactly as long as someone is waiting.
-func (s *Server) serveAdvisory(w http.ResponseWriter, r *http.Request,
-	ep *endpointStats, cache *lru.Cache[string, []byte], fl *flightGroup[[]byte], parse parseFunc) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0, errors.New("POST required"))
-		return
-	}
-	s.count(func(m *Metrics) { m.Requests++ })
-	start := time.Now()
-	reqCtx := r.Context()
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(reqCtx, s.reqTimeout)
-		defer cancel()
-	}
-	st := &stageTimes{}
-	fp := ""
-	status := http.StatusOK
-	state := "none"
-	defer func() {
-		total := time.Since(start)
-		ep.total.observe(total)
-		s.logSlow(ep.name, fp, status, state, total, st)
-	}()
+// runFunc runs the pipeline on a built, interned input.
+type runFunc func(context.Context) (outcome, error)
 
-	pt := time.Now()
-	fpParsed, eval, err := parse(http.MaxBytesReader(w, r.Body, s.maxBody))
-	st.parse = time.Since(pt)
-	ep.parse.observe(st.parse)
+// outcome is a finished pipeline run: its Metrics diagnostics, whether
+// it is partial (and so never cached), and its serializer.
+type outcome struct {
+	pruneEvaluated, pruneSkipped, panics int
+	partial                              bool
+	marshal                              func() ([]byte, error)
+}
+
+func (s *Server) parseAdvise(body io.Reader) (*request, error) {
+	doc, err := config.Parse(body)
 	if err != nil {
-		status = s.writeParseError(w, r, err)
-		return
+		return nil, err
 	}
-	fp = fpParsed
+	fp := doc.Fingerprint()
+	return &request{fp: fp, scenarios: 1, build: func(*jobs.Job) (*core.Input, string, runFunc, error) {
+		// Build from the canonical ordering so every document sharing this
+		// fingerprint evaluates bit-identically (float accumulations over
+		// the mix are order-sensitive in the last ulp).
+		doc := doc.Canonical()
+		in, err := doc.Build()
+		if err != nil {
+			return nil, "", nil, err
+		}
+		in.AllowPartial = s.allowPartial
+		return in, doc.SchemaFingerprint(), func(ctx context.Context) (outcome, error) {
+			res, err := core.AdviseContext(ctx, in)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{res.PruneStats.Evaluated, res.PruneStats.Skipped, len(res.Faults), res.Partial,
+				func() ([]byte, error) { return json.MarshalIndent(buildAdviseResponse(fp, in, res), "", "  ") }}, nil
+		}, nil
+	}}, nil
+}
 
-	if b, ok := s.cacheGet(cache, fp); ok {
-		s.count(func(m *Metrics) { m.CacheHits++ })
-		state = "hit"
+// parseSweep never sets AllowPartial: sweep.Run fails the whole run on
+// cancellation, so a sweep response is never partial. A job's sweep also
+// resumes, streams progress and checkpoints; its bytes are the same.
+func parseSweep(body io.Reader) (*request, error) {
+	doc, err := config.ParseSweep(body)
+	if err != nil {
+		return nil, err
+	}
+	return &request{fp: doc.Fingerprint(), scenarios: doc.Scenarios(), build: func(j *jobs.Job) (*core.Input, string, runFunc, error) {
+		doc := doc.Canonical()
+		base, grid, target, err := doc.Build()
+		if err != nil {
+			return nil, "", nil, err
+		}
+		opts := sweep.Options{ResponseTarget: target}
+		if j != nil {
+			jobSweepOptions(j, &opts)
+		}
+		return base, doc.Base.SchemaFingerprint(), func(ctx context.Context) (outcome, error) {
+			rep, err := sweep.Run(ctx, base, grid, opts)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{rep.PruneEvaluated, rep.PruneSkipped, rep.EvalPanics, false, func() ([]byte, error) {
+				var buf bytes.Buffer
+				err := rep.WriteJSON(&buf)
+				return buf.Bytes(), err
+			}}, nil
+		}, nil
+	}}, nil
+}
+
+// serve returns an endpoint's synchronous route: derive the request
+// context (client context + RequestTimeout), parse, consult the response
+// cache, and run or join a singleflight whose evaluation context lives
+// exactly as long as someone is waiting.
+func (s *Server) serve(ep *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			s.writeError(w, r, errorClass{http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0, errors.New("POST required")})
+			return
+		}
+		s.count(func(m *Metrics) { m.Requests++ })
+		start := time.Now()
+		reqCtx := r.Context()
+		if s.reqTimeout > 0 {
+			var cancel context.CancelFunc
+			reqCtx, cancel = context.WithTimeout(reqCtx, s.reqTimeout)
+			defer cancel()
+		}
+		st := &stageTimes{}
+		fp, status, state := "", http.StatusOK, "none"
+		defer func() {
+			total := time.Since(start)
+			ep.stats.total.observe(total)
+			s.logSlow(ep.kind, fp, status, state, total, st)
+		}()
+
+		pt := time.Now()
+		req, err := ep.parse(http.MaxBytesReader(w, r.Body, s.maxBody))
+		st.parse = time.Since(pt)
+		ep.stats.parse.observe(st.parse)
+		if err != nil {
+			status = s.writeError(w, r, parseErrorClass(err))
+			return
+		}
+		fp = req.fp
+
+		if b, ok := s.cacheGet(ep.cache, fp); ok {
+			s.count(func(m *Metrics) { m.CacheHits++ })
+			state = "hit"
+			writeJSON(w, b, state)
+			return
+		}
+
+		run := func(ctx context.Context) ([]byte, error) { return s.lead(ctx, ep, req, st, nil) }
+		b, err, joined := ep.flight.Do(reqCtx, s.baseCtx, fp, run)
+		if joined {
+			s.count(func(m *Metrics) { m.Coalesced++ })
+		}
+		if isCtxErr(err) && reqCtx.Err() == nil && s.baseCtx.Err() == nil {
+			// The flight this caller joined was cancelled because all of its
+			// own waiters departed — not this caller's fault, and the server
+			// is healthy, so run a fresh flight (cheap if the dead flight
+			// already cached its result).
+			b, err, _ = ep.flight.Do(reqCtx, s.baseCtx, fp, run)
+		}
+		if err != nil {
+			status = s.writeAdvisoryError(w, r, reqCtx, err)
+			return
+		}
+		state = "miss"
+		if joined {
+			state = "coalesced"
+		}
 		writeJSON(w, b, state)
-		return
 	}
-
-	run := func(ctx context.Context) ([]byte, error) { return eval(ctx, st) }
-	b, err, joined := fl.Do(reqCtx, s.baseCtx, fp, run)
-	if joined {
-		s.count(func(m *Metrics) { m.Coalesced++ })
-	}
-	if isCtxErr(err) && reqCtx.Err() == nil && s.baseCtx.Err() == nil {
-		// The flight this caller joined was cancelled because all of its
-		// own waiters departed — not this caller's fault, and the server
-		// is healthy, so run a fresh flight (cheap if the dead flight
-		// already cached its result).
-		b, err, _ = fl.Do(reqCtx, s.baseCtx, fp, run)
-	}
-	if err != nil {
-		status = s.writeAdvisoryError(w, r, reqCtx, err)
-		return
-	}
-	state = "miss"
-	if joined {
-		state = "coalesced"
-	}
-	writeJSON(w, b, state)
 }
 
-// evalAdvise is the flight leader's path: build, intern, evaluate,
-// serialize, cache. It re-checks the response cache first so a flight
-// opened just as a previous identical flight finished replays the fresh
-// entry instead of evaluating again — a request can never trigger a
-// second evaluation of an already-cached advisory.
-func (s *Server) evalAdvise(ctx context.Context, doc *config.Document, fp string, st *stageTimes) ([]byte, error) {
-	if b, ok := s.cacheGet(s.adviseCache, fp); ok {
+// lead is the evaluation path of a flight leader or a job (j != nil):
+// build, intern, evaluate, serialize, cache. It re-checks the response
+// cache first so a flight opened just as an identical flight finished
+// replays the fresh entry: a request never triggers a second evaluation
+// of an already-cached response. st receives the stage durations.
+func (s *Server) lead(ctx context.Context, ep *endpoint, req *request, st *stageTimes, j *jobs.Job) ([]byte, error) {
+	if b, ok := s.cacheGet(ep.cache, req.fp); ok {
 		s.count(func(m *Metrics) { m.CacheHits++ })
 		return b, nil
 	}
 	s.count(func(m *Metrics) { m.CacheMisses++ })
-	// Build from the canonical ordering so every document sharing this
-	// fingerprint evaluates bit-identically (float accumulations over
-	// the mix are order-sensitive in the last ulp).
-	doc = doc.Canonical()
-	in, err := doc.Build()
+	in, schemaKey, run, err := req.build(j)
 	if err != nil {
 		return nil, err
 	}
-	star, evalCache := s.internSchema(doc.SchemaFingerprint(), in.Schema)
 	// Safe swap: fingerprint equality means the interned star is
 	// field-identical, and mix predicates reference it by index.
-	in.Schema = star
-	in.EvalCache = evalCache
-	in.AllowPartial = s.allowPartial
+	in.Schema, in.EvalCache = s.internSchema(schemaKey, in.Schema)
 	in.Faults = s.faults
 	qt := time.Now()
 	if err := s.acquire(ctx); err != nil {
 		return nil, err
 	}
 	st.queue = time.Since(qt)
-	s.adviseStats.queue.observe(st.queue)
+	ep.stats.queue.observe(st.queue)
 	defer s.release()
 	s.count(func(m *Metrics) { m.Evaluations++ })
 	if s.evalHook != nil {
@@ -550,97 +580,30 @@ func (s *Server) evalAdvise(ctx context.Context, doc *config.Document, fp string
 		return nil, err
 	}
 	et := time.Now()
-	res, err := core.AdviseContext(ctx, in)
+	out, err := run(ctx)
 	st.evaluate = time.Since(et)
-	s.adviseStats.evaluate.observe(st.evaluate)
+	ep.stats.evaluate.observe(st.evaluate)
 	if err != nil {
 		return nil, err
 	}
 	s.count(func(m *Metrics) {
-		m.PruneEvaluated += int64(res.PruneStats.Evaluated)
-		m.PruneSkipped += int64(res.PruneStats.Skipped)
-		m.EvalPanics += int64(len(res.Faults))
+		m.PruneEvaluated += int64(out.pruneEvaluated)
+		m.PruneSkipped += int64(out.pruneSkipped)
+		m.EvalPanics += int64(out.panics)
 	})
 	mt := time.Now()
-	b, err := json.MarshalIndent(buildAdviseResponse(fp, in, res), "", "  ")
+	b, err := out.marshal()
 	if err != nil {
 		return nil, err
 	}
 	b = ensureTrailingNewline(b)
 	st.serialize = time.Since(mt)
-	s.adviseStats.serialize.observe(st.serialize)
-	// A partial advisory is best-effort and timing-dependent; caching it
-	// would replay an arbitrary degraded snapshot to later (healthy)
-	// requests, so only complete responses enter the byte-deterministic
-	// response cache.
-	if !res.Partial {
-		s.cacheAdd(s.adviseCache, fp, b)
+	ep.stats.serialize.observe(st.serialize)
+	// A partial advisory is timing-dependent: caching it would replay a
+	// degraded snapshot to later, healthy requests.
+	if !out.partial {
+		s.cacheAdd(ep.cache, req.fp, b)
 	}
-	return b, nil
-}
-
-// evalSweep is the sweep evaluation path, shared by the synchronous
-// endpoint (j == nil) and the asynchronous job runner (j != nil, which
-// adds progress streaming, resume and checkpointing — the rendered
-// bytes are identical either way).
-func (s *Server) evalSweep(ctx context.Context, doc *config.SweepDoc, fp string, st *stageTimes, j *jobs.Job) ([]byte, error) {
-	if b, ok := s.cacheGet(s.sweepCache, fp); ok {
-		s.count(func(m *Metrics) { m.CacheHits++ })
-		return b, nil
-	}
-	s.count(func(m *Metrics) { m.CacheMisses++ })
-	doc = doc.Canonical()
-	base, grid, target, err := doc.Build()
-	if err != nil {
-		return nil, err
-	}
-	opts := sweep.Options{ResponseTarget: target}
-	if j != nil {
-		j.Update(func(p *jobs.Progress) { p.ScenariosTotal = grid.Size() })
-		jobSweepOptions(j, &opts)
-	}
-	star, evalCache := s.internSchema(doc.Base.SchemaFingerprint(), base.Schema)
-	base.Schema = star
-	base.EvalCache = evalCache
-	// Sweeps get the fault registry (panic isolation must hold there too)
-	// but not AllowPartial semantics at the HTTP layer: sweep.Run fails
-	// the whole run on cancellation, so a sweep response is never partial.
-	base.Faults = s.faults
-	qt := time.Now()
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	st.queue = time.Since(qt)
-	s.sweepStats.queue.observe(st.queue)
-	defer s.release()
-	s.count(func(m *Metrics) { m.Evaluations++ })
-	if s.evalHook != nil {
-		s.evalHook(ctx)
-	}
-	if err := s.faults.Hit(FaultEvaluate); err != nil {
-		return nil, err
-	}
-	et := time.Now()
-	rep, err := sweep.Run(ctx, base, grid, opts)
-	st.evaluate = time.Since(et)
-	s.sweepStats.evaluate.observe(st.evaluate)
-	if err != nil {
-		return nil, err
-	}
-	s.count(func(m *Metrics) {
-		m.PruneEvaluated += int64(rep.PruneEvaluated)
-		m.PruneSkipped += int64(rep.PruneSkipped)
-		m.EvalPanics += int64(rep.EvalPanics)
-	})
-	mt := time.Now()
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	b := ensureTrailingNewline(buf.Bytes())
-	st.serialize = time.Since(mt)
-	s.sweepStats.serialize.observe(st.serialize)
-	s.cacheAdd(s.sweepCache, fp, b)
 	return b, nil
 }
 
@@ -651,7 +614,7 @@ func (s *Server) allowGetHead(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	w.Header().Set("Allow", "GET, HEAD")
-	s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0, errors.New("GET or HEAD required"))
+	s.writeError(w, r, errorClass{http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0, errors.New("GET or HEAD required")})
 	return false
 }
 
@@ -698,8 +661,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "warlockd_job_retries_total %d\n", m.Jobs.Retries)
 	fmt.Fprintf(w, "warlockd_job_checkpoint_failures_total %d\n", m.Jobs.CheckpointFailures)
 	fmt.Fprintf(w, "warlockd_jobs_stored %d\n", m.JobsStored)
-	s.adviseStats.write(w, "warlockd_request_stage_seconds")
-	s.sweepStats.write(w, "warlockd_request_stage_seconds")
+	for _, ep := range s.endpoints() {
+		ep.stats.write(w, "warlockd_request_stage_seconds", ep.kind)
+	}
 }
 
 // logSlow emits one line for a request slower than the configured
@@ -725,7 +689,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // internSchema returns the canonical star and shared evaluation cache
 // for a schema identity, interning the given star on first sight. An
-// entry whose evaluation cache outgrew maxCachedGeometries gets a fresh
+// entry whose evaluation cache outgrew maxCachedEntries gets a fresh
 // cache (same star, warm state dropped).
 func (s *Server) internSchema(key string, star *schema.Star) (*schema.Star, *costmodel.Cache) {
 	s.mu.Lock()
@@ -810,59 +774,70 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// writeParseError maps request decoding failures: an oversized body is
+// parseErrorClass maps request decoding failures: an oversized body is
 // 413 (the *http.MaxBytesError survives config's error wrapping), any
 // other parse failure is the client's 400.
-func (s *Server) writeParseError(w http.ResponseWriter, r *http.Request, err error) int {
+func parseErrorClass(err error) errorClass {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		return s.writeError(w, r, http.StatusRequestEntityTooLarge, CodeOversized, 0,
-			fmt.Errorf("request body exceeds the configured limit of %d bytes", mbe.Limit))
+		return errorClass{http.StatusRequestEntityTooLarge, CodeOversized, 0,
+			fmt.Errorf("request body exceeds the configured limit of %d bytes", mbe.Limit)}
 	}
-	return s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, 0, err)
+	return errorClass{http.StatusBadRequest, CodeBadRequest, 0, err}
 }
 
-// writeAdvisoryError maps evaluation-path errors to HTTP statuses and
-// counts the operational ones: invalid documents are the client's fault
-// (400/413), an advisory with no feasible candidate is a semantic
-// failure (422), overload is shed with 503 + a Retry-After computed
-// from the live queue backlog, and a cancelled evaluation is
-// disambiguated by who cancelled it — the request deadline (504), the
-// departed client (408), or server shutdown (503).
-func (s *Server) writeAdvisoryError(w http.ResponseWriter, r *http.Request, reqCtx context.Context, err error) int {
+// advisoryErrorClass maps evaluation errors of requests and jobs alike:
+// invalid documents are the client's fault (400/413), no feasible
+// candidate is 422, overload is 503 + a Retry-After from the live queue
+// backlog, and a cancellation is told apart by its cause — the request
+// deadline (504), the departed client (408), or server shutdown (503).
+func (s *Server) advisoryErrorClass(reqCtx context.Context, err error) errorClass {
 	switch {
 	case errors.Is(err, errShed):
-		s.count(func(m *Metrics) { m.Shed++ })
-		return s.writeError(w, r, http.StatusServiceUnavailable, CodeShed, s.retryAfter(), err)
+		return errorClass{http.StatusServiceUnavailable, CodeShed, s.retryAfter(), err}
 	case errors.Is(err, errQueueTimeout):
-		s.count(func(m *Metrics) { m.Timeouts++ })
-		return s.writeError(w, r, http.StatusServiceUnavailable, CodeQueueTimeout, s.retryAfter(), err)
+		return errorClass{http.StatusServiceUnavailable, CodeQueueTimeout, s.retryAfter(), err}
 	case errors.Is(err, config.ErrBadConfig):
-		return s.writeParseError(w, r, err)
+		return parseErrorClass(err)
 	case errors.Is(err, core.ErrNoFeasible):
-		return s.writeError(w, r, http.StatusUnprocessableEntity, CodeUnfeasible, 0, err)
+		return errorClass{http.StatusUnprocessableEntity, CodeUnfeasible, 0, err}
 	case isCtxErr(err):
 		switch {
 		case s.baseCtx.Err() != nil:
-			return s.writeError(w, r, http.StatusServiceUnavailable, CodeShutdown, 0,
-				errors.New("advisory cancelled: server shutting down"))
+			return errorClass{http.StatusServiceUnavailable, CodeShutdown, 0,
+				errors.New("advisory cancelled: server shutting down")}
 		case errors.Is(reqCtx.Err(), context.DeadlineExceeded):
-			s.count(func(m *Metrics) { m.Timeouts++ })
-			return s.writeError(w, r, http.StatusGatewayTimeout, CodeDeadline, 0,
-				errors.New("advisory timed out before completing (request timeout exceeded)"))
+			return errorClass{http.StatusGatewayTimeout, CodeDeadline, 0,
+				errors.New("advisory timed out before completing (request timeout exceeded)")}
 		case errors.Is(reqCtx.Err(), context.Canceled):
-			s.count(func(m *Metrics) { m.ClientGone++ })
-			return s.writeError(w, r, http.StatusRequestTimeout, CodeClientGone, 0,
-				errors.New("client went away before the advisory completed"))
+			return errorClass{http.StatusRequestTimeout, CodeClientGone, 0,
+				errors.New("client went away before the advisory completed")}
 		default:
 			// A joined flight died under this caller twice (its other
 			// waiters left mid-retry); rare, transient, retryable.
-			return s.writeError(w, r, http.StatusServiceUnavailable, CodeRetry, s.retryAfter(),
-				errors.New("advisory evaluation cancelled, retry"))
+			return errorClass{http.StatusServiceUnavailable, CodeRetry, s.retryAfter(),
+				errors.New("advisory evaluation cancelled, retry")}
 		}
 	default:
-		return s.writeError(w, r, http.StatusInternalServerError, CodeInternal, 0, err)
+		return errorClass{http.StatusInternalServerError, CodeInternal, 0, err}
 	}
+}
+
+// writeAdvisoryError renders a synchronous request's evaluation error and
+// counts the operational failures.
+func (s *Server) writeAdvisoryError(w http.ResponseWriter, r *http.Request, reqCtx context.Context, err error) int {
+	c := s.advisoryErrorClass(reqCtx, err)
+	s.count(func(m *Metrics) {
+		switch c.code {
+		case CodeShed:
+			m.Shed++
+		case CodeQueueTimeout, CodeDeadline:
+			m.Timeouts++
+		case CodeClientGone:
+			m.ClientGone++
+		}
+	})
+	return s.writeError(w, r, c)
 }
 
 func writeJSON(w http.ResponseWriter, b []byte, cacheState string) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -470,5 +471,90 @@ func BenchmarkAdviseWarmCache(b *testing.B) {
 	}
 	if m := srv.Metrics(); m.Evaluations != 1 {
 		b.Fatalf("warm benchmark ran %d evaluations", m.Evaluations)
+	}
+}
+
+// TestMetricsExpositionPinned pins the /metrics exposition that scrapers
+// (and the repository benchmark) parse: every line's name, label set and
+// position, with the values masked. Traffic covers both advisory kinds
+// on the synchronous routes and the job API.
+func TestMetricsExpositionPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	advise := encodeDoc(t, tinyDoc(100_000))
+	for _, want := range []string{"miss", "hit"} {
+		if code, state, _ := post(t, ts, "/v1/advise", advise); code != http.StatusOK || state != want {
+			t.Fatalf("advise: %d %q, want %q", code, state, want)
+		}
+	}
+	if code, _, _ := post(t, ts, "/v1/sweep", encodeSweepDoc(t, tinySweepDoc(100_000))); code != http.StatusOK {
+		t.Fatalf("sweep: %d", code)
+	}
+	var receipt JobSubmitResponse
+	jobRequest(t, ts, http.MethodPost, "/v1/jobs", encodeSweepDoc(t, tinySweepDoc(200_000)), &receipt)
+	if st := waitJob(t, ts, receipt.ID); st.State != "done" {
+		t.Fatalf("sweep job: %s (%s)", st.State, st.Error)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("metrics line without a value: %q", line)
+		}
+		got = append(got, line[:i])
+	}
+
+	want := []string{
+		"warlockd_requests_total",
+		"warlockd_cache_hits_total",
+		"warlockd_cache_misses_total",
+		"warlockd_coalesced_total",
+		"warlockd_evaluations_total",
+		"warlockd_timeouts_total",
+		"warlockd_shed_total",
+		"warlockd_client_gone_total",
+		"warlockd_prune_evaluated_total",
+		"warlockd_prune_skipped_total",
+		"warlockd_eval_panics_total",
+		"warlockd_in_flight",
+		"warlockd_queue_depth",
+		"warlockd_schema_cache_hits_total",
+		"warlockd_schema_cache_misses_total",
+		"warlockd_advise_cache_entries",
+		"warlockd_sweep_cache_entries",
+		"warlockd_schema_cache_entries",
+		`warlockd_jobs_total{state="queued"}`,
+		`warlockd_jobs_total{state="running"}`,
+		`warlockd_jobs_total{state="done"}`,
+		`warlockd_jobs_total{state="failed"}`,
+		`warlockd_jobs_total{state="cancelled"}`,
+		"warlockd_jobs_submitted_total",
+		"warlockd_jobs_coalesced_total",
+		"warlockd_job_scenarios_completed_total",
+		"warlockd_job_retries_total",
+		"warlockd_job_checkpoint_failures_total",
+		"warlockd_jobs_stored",
+	}
+	les := []string{"0.0005", "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05",
+		"0.1", "0.25", "0.5", "1", "2.5", "5", "10", "+Inf"}
+	for _, endpoint := range []string{"advise", "sweep"} {
+		for _, stage := range []string{"parse", "queue", "evaluate", "serialize", "total"} {
+			labels := fmt.Sprintf("endpoint=%q,stage=%q", endpoint, stage)
+			for _, le := range les {
+				want = append(want, fmt.Sprintf("warlockd_request_stage_seconds_bucket{%s,le=%q}", labels, le))
+			}
+			want = append(want,
+				"warlockd_request_stage_seconds_sum{"+labels+"}",
+				"warlockd_request_stage_seconds_count{"+labels+"}")
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("metrics exposition changed:\ngot:\n%s\n\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
