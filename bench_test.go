@@ -1,14 +1,14 @@
 package repro
 
-// One benchmark per experiment of EXPERIMENTS.md (E1–E14) plus the two
-// paper figures (F1 pipeline, F2 analysis panels). Each benchmark
+// One benchmark per experiment of EXPERIMENTS.md (E1–E13; E14 itself
+// times its cold-vs-sweep comparison) plus the two paper figures (F1
+// pipeline, F2 analysis panels). Each benchmark
 // exercises exactly the code path the corresponding warlock-bench
 // experiment uses, at a reduced scale so `go test -bench=.` completes in
 // seconds. The absolute table values are produced by cmd/warlock-bench;
 // these benchmarks track the cost of regenerating them.
 
 import (
-	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -25,14 +25,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/skew"
 	"repro/internal/storage"
-	"repro/internal/sweep"
 	"repro/internal/validate"
 )
 
 const benchRows = 1_000_000
 
 // BenchmarkAdvise contrasts the serial and parallel evaluation stage of
-// the streaming advisor pipeline (experiment E14): bit-for-bit identical
+// the streaming advisor pipeline: bit-for-bit identical
 // results, wall-clock divided across the cost-model workers.
 func BenchmarkAdvise(b *testing.B) {
 	for _, bc := range []struct {
@@ -54,49 +53,6 @@ func BenchmarkAdvise(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSweepVsColdAdvise contrasts the what-if sweep engine with N
-// independent cold Advise calls over the same 12-scenario grid (disks ×
-// mix × parallelism). The sweep advises each parallelism-equivalent
-// group once and shares candidate geometries across disk counts and
-// mixes, so it must beat the cold loop while returning bit-identical
-// per-scenario results (asserted by the sweep package tests).
-func BenchmarkSweepVsColdAdvise(b *testing.B) {
-	in := benchInput(b, 0, 0, 16)
-	grid := &sweep.Grid{
-		Disks: []int{8, 16, 32},
-		MixScales: []sweep.MixScale{
-			{Name: "base"},
-			{Name: "boost-Q3", Factors: map[string]float64{"Q3-store-month": 8}},
-		},
-		Parallelism: []int{1, runtime.GOMAXPROCS(0)},
-	}
-	scens, err := sweep.Expand(in, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(scens) != 12 {
-		b.Fatalf("grid has %d scenarios, want 12", len(scens))
-	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, sc := range scens {
-				if _, err := core.Advise(sc.Input); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sweep.Run(context.Background(), in, grid, sweep.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAdvisePruned contrasts the branch-and-bound pruned pipeline

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -589,9 +588,9 @@ func runF2(p params) error {
 
 // runE14 measures the what-if sweep engine: the same scenario grid
 // evaluated as N independent cold advisories versus one shared-state
-// sweep (memoized geometries, one advisory per parallelism-equivalent
-// group, concurrent scenarios). Winners are asserted identical per
-// scenario; the table reports the wall-clock speedup the sharing buys.
+// sweep (memoized geometries, concurrent scenarios). Winners are
+// asserted identical per scenario; the table reports the wall-clock
+// speedup the sharing buys.
 func runE14(p params) error {
 	in, err := input(p, 0, 0)
 	if err != nil {
@@ -614,7 +613,6 @@ func runE14(p params) error {
 			{Name: "base"},
 			{Name: "boost-Q3", Factors: map[string]float64{"Q3-store-month": 8}},
 		},
-		Parallelism: []int{1, runtime.GOMAXPROCS(0)},
 	}
 	scens, err := sweep.Expand(in, grid)
 	if err != nil {
@@ -643,15 +641,15 @@ func runE14(p params) error {
 		}
 	}
 	w := tw()
-	fmt.Fprintln(w, "PIPELINE\tSCENARIOS\tADVISORIES\tWALL\tSPEEDUP")
-	fmt.Fprintf(w, "cold (independent Advise)\t%d\t%d\t%v\t1.00x\n",
-		len(scens), len(scens), coldWall.Round(time.Millisecond))
-	fmt.Fprintf(w, "sweep (shared state)\t%d\t%d\t%v\t%.2fx\n",
-		len(rep.Scenarios), rep.Advisories, sweepWall.Round(time.Millisecond),
+	fmt.Fprintln(w, "PIPELINE\tSCENARIOS\tWALL\tSPEEDUP")
+	fmt.Fprintf(w, "cold (independent Advise)\t%d\t%v\t1.00x\n",
+		len(scens), coldWall.Round(time.Millisecond))
+	fmt.Fprintf(w, "sweep (shared state)\t%d\t%v\t%.2fx\n",
+		len(rep.Scenarios), sweepWall.Round(time.Millisecond),
 		float64(coldWall)/float64(sweepWall))
 	w.Flush()
 	fmt.Println("(identical ranked results per scenario by construction; the sweep shares")
-	fmt.Println(" geometries across disk counts and mixes, advises each parallelism group once,")
-	fmt.Println(" and runs scenario advisories concurrently)")
+	fmt.Println(" geometries across disk counts and mixes and runs scenario advisories")
+	fmt.Println(" concurrently)")
 	return nil
 }

@@ -217,7 +217,7 @@ func runSweep(ctx context.Context, path, jsonPath string, workers int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweep: %d scenarios, %d advisories run (shared-state pipeline)\n", len(rep.Scenarios), rep.Advisories)
+	fmt.Printf("sweep: %d scenarios (shared-state pipeline)\n", len(rep.Scenarios))
 	if total := rep.PruneEvaluated + rep.PruneSkipped; total > 0 {
 		fmt.Printf("pruning: %d candidates evaluated, %d skipped by lower bound (%.1f%%)\n",
 			rep.PruneEvaluated, rep.PruneSkipped, pct(rep.PruneSkipped, total))

@@ -4,11 +4,11 @@
 // The public API lives in repro/warlock; the advisor pipeline and its
 // substrates live under internal/ (schema, skew, disk, workload, fragment,
 // bitmap, costmodel, alloc, rank, sim, sweep, analysis, core, apb, config).
-// internal/sweep is the what-if scenario engine: warlock.Sweep evaluates a
-// declarative grid of scenarios (disk counts, query-mix reweightings, skew,
-// prefetch granules, allocation schemes) through one shared, memoizing
-// pipeline, with per-scenario results bit-identical to independent Advise
-// calls; cmd/warlock exposes it as the -sweep mode.
+// internal/sweep is the what-if scenario engine: warlock.Advisor.Sweep
+// evaluates a declarative grid of scenarios (disk counts, query-mix
+// reweightings, skew, prefetch granules, allocation schemes) through one
+// shared, memoizing pipeline, with per-scenario results bit-identical to
+// independent Advise calls; cmd/warlock exposes it as the -sweep mode.
 // internal/server is the long-running advisory service behind cmd/warlockd:
 // POST /v1/advise and /v1/sweep over the same JSON documents, with an LRU
 // response cache keyed by the canonical request fingerprint

@@ -38,8 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("%d scenarios, %d advisories run (shared-state pipeline)\n\n",
-		len(rep.Scenarios), rep.Advisories)
+	fmt.Printf("%d scenarios (shared-state pipeline)\n\n", len(rep.Scenarios))
 	if err := rep.Table(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

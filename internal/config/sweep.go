@@ -40,13 +40,12 @@ type SweepBaseDoc = Document
 
 // GridDoc mirrors sweep.Grid.
 type GridDoc struct {
-	Rows        []int64       `json:"rows,omitempty"`
-	Disks       []int         `json:"disks,omitempty"`
-	Prefetch    []int         `json:"prefetch,omitempty"`
-	MixScales   []MixScaleDoc `json:"mixScales,omitempty"`
-	Skews       []SkewDoc     `json:"skews,omitempty"`
-	Allocs      []string      `json:"allocs,omitempty"`
-	Parallelism []int         `json:"parallelism,omitempty"`
+	Rows      []int64       `json:"rows,omitempty"`
+	Disks     []int         `json:"disks,omitempty"`
+	Prefetch  []int         `json:"prefetch,omitempty"`
+	MixScales []MixScaleDoc `json:"mixScales,omitempty"`
+	Skews     []SkewDoc     `json:"skews,omitempty"`
+	Allocs    []string      `json:"allocs,omitempty"`
 }
 
 // MixScaleDoc mirrors sweep.MixScale.
@@ -61,7 +60,8 @@ type SkewDoc struct {
 	Theta map[string]float64 `json:"theta,omitempty"`
 }
 
-// ParseSweep decodes a sweep JSON document.
+// ParseSweep decodes a sweep JSON document and rejects a grid larger
+// than sweep.MaxScenarios before anything sizes work by it.
 func ParseSweep(r io.Reader) (*SweepDoc, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -69,6 +69,9 @@ func ParseSweep(r io.Reader) (*SweepDoc, error) {
 	if err := dec.Decode(&d); err != nil {
 		// Double-wrap for the same reason as Parse: keep transport-level
 		// causes (*http.MaxBytesError) in the chain.
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	if err := d.grid().CheckSize(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	return &d, nil
@@ -93,11 +96,10 @@ func (d *SweepDoc) Scenarios() int { return d.grid().Size() }
 
 func (d *SweepDoc) grid() *sweep.Grid {
 	g := &sweep.Grid{
-		Rows:        d.Grid.Rows,
-		Disks:       d.Grid.Disks,
-		Prefetch:    d.Grid.Prefetch,
-		Allocs:      d.Grid.Allocs,
-		Parallelism: d.Grid.Parallelism,
+		Rows:     d.Grid.Rows,
+		Disks:    d.Grid.Disks,
+		Prefetch: d.Grid.Prefetch,
+		Allocs:   d.Grid.Allocs,
 	}
 	for _, ms := range d.Grid.MixScales {
 		g.MixScales = append(g.MixScales, sweep.MixScale{Name: ms.Name, Factors: ms.Factors})

@@ -2,9 +2,12 @@ package config
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 func TestSweepRoundTrip(t *testing.T) {
@@ -38,6 +41,37 @@ func TestSweepRoundTrip(t *testing.T) {
 func TestParseSweepRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSweep(strings.NewReader(`{"grid": {"spindles": [3]}}`)); err == nil {
 		t.Fatal("unknown grid field accepted")
+	}
+}
+
+// TestParseSweepRejectsParallelismAxis: the grid has no parallelism
+// axis (worker counts never change a result), so the key is unknown.
+func TestParseSweepRejectsParallelismAxis(t *testing.T) {
+	_, err := ParseSweep(strings.NewReader(`{"grid": {"disks": [8], "parallelism": [1, 4]}}`))
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("parallelism grid: err = %v, want ErrBadConfig", err)
+	}
+}
+
+// TestParseSweepRejectsOversizedGrid: a grid above sweep.MaxScenarios is
+// a bad document, whatever its base.
+func TestParseSweepRejectsOversizedGrid(t *testing.T) {
+	d := ExampleSweep(1_000_000, 16) // 16 scenarios
+	d.Grid.Prefetch = make([]int, sweep.MaxScenarios/16+1)
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSweep(&buf); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("oversized grid: err = %v, want ErrBadConfig", err)
+	}
+	d.Grid.Prefetch = d.Grid.Prefetch[:sweep.MaxScenarios/16]
+	buf.Reset()
+	if err := d.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSweep(&buf); err != nil {
+		t.Fatalf("grid of exactly MaxScenarios rejected: %v", err)
 	}
 }
 

@@ -261,8 +261,9 @@ func (j *Job) Update(f func(*Progress)) {
 	j.mu.Unlock()
 }
 
-// AddScenarios records n newly completed scenarios (resumed scenarios
-// excluded) on both the job and the manager-wide counter.
+// AddScenarios adds n newly completed scenarios (resumed scenarios
+// excluded) to the manager-wide Totals.ScenariosCompleted counter. It
+// leaves the job's own progress alone: runners set that through Update.
 func (j *Job) AddScenarios(n int) {
 	if n <= 0 {
 		return
@@ -270,8 +271,8 @@ func (j *Job) AddScenarios(n int) {
 	j.m.counts(func(t *Totals) { t.ScenariosCompleted += int64(n) })
 }
 
-// Checkpoint durably records one completed unit of work (a representative
-// sweep scenario) under an integer key. A no-op without a persistence
+// Checkpoint durably records one completed unit of work (a sweep
+// scenario) under an integer key. A no-op without a persistence
 // directory. Errors are deliberately swallowed: checkpointing is an
 // optimization — losing one only costs recomputation after a restart.
 func (j *Job) Checkpoint(key int, v any) {

@@ -33,8 +33,8 @@ const (
 // On-disk layout under Config.Dir, one pair of files per unfinished job:
 //
 //	<id>.job   JSON {"kind": ..., "spec": <submitted document>}
-//	<id>.ckpt  JSONL, one {"k": <rep index>, "v": <checkpoint>} per
-//	           completed representative scenario, appended and fsynced
+//	<id>.ckpt  JSONL, one {"k": <scenario index>, "v": <checkpoint>}
+//	           per completed scenario, appended and fsynced
 //	           as the sweep progresses
 //
 // Both files are removed when the job reaches a terminal state in a
@@ -209,8 +209,8 @@ type Pending struct {
 	// Kind and Spec reproduce the original submission.
 	Kind string
 	Spec []byte
-	// Resume holds the persisted checkpoints, keyed by representative
-	// scenario index; pass it through Request.Resume.
+	// Resume holds the persisted checkpoints, keyed by scenario
+	// index; pass it through Request.Resume.
 	Resume map[int]json.RawMessage
 }
 

@@ -246,7 +246,7 @@ func jobSweepOptions(j *jobs.Job, opts *sweep.Options) {
 			pr.ScenariosDone = p.Done
 			pr.ScenariosTotal = p.Total
 			if p.Resumed {
-				pr.ScenariosResumed += p.Group
+				pr.ScenariosResumed++
 			}
 			if p.Outcome.HasResult {
 				pr.PruneEvaluated += p.Outcome.PruneEvaluated
@@ -254,15 +254,8 @@ func jobSweepOptions(j *jobs.Job, opts *sweep.Options) {
 			}
 		})
 		if !p.Resumed {
-			// Partial outcomes are timing-dependent and must never seed a
-			// resume: a resumed sweep replays checkpoints byte-identically,
-			// so only complete scenario outcomes are durable. (sweep.Run
-			// already suppresses notifications once its context fails —
-			// this guard keeps the invariant local and explicit.)
-			if !p.Outcome.Partial {
-				j.Checkpoint(p.Rep, p.Outcome)
-			}
-			j.AddScenarios(p.Group)
+			j.Checkpoint(p.Index, p.Outcome)
+			j.AddScenarios(1)
 		}
 	}
 }

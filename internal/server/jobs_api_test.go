@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -535,13 +536,13 @@ func TestJobRestartResume(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			lines = append(lines, ck{K: p.Rep, V: b})
+			lines = append(lines, ck{K: p.Index, V: b})
 		},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) < 2 {
-		t.Fatalf("grid too small to test partial resume: %d reps", len(lines))
+		t.Fatalf("grid too small to test partial resume: %d scenarios", len(lines))
 	}
 
 	// Persist the spec and HALF the checkpoints in the documented on-disk
@@ -814,5 +815,63 @@ func TestJobResultKeepsOverloadTaxonomy(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRejectedGridsAnswer400 sends grids the sweep engine must refuse —
+// one far above sweep.MaxScenarios (3,000 values on each of four axes,
+// 8.1e13 scenarios) and one naming the removed parallelism axis — to
+// both sweep routes. Each answers 400 bad_request before any work is
+// sized by the grid, no job is persisted, and the server stays healthy.
+func TestRejectedGridsAnswer400(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JobsDir: dir})
+
+	huge := tinySweepDoc(100_000)
+	g := &huge.Grid
+	*g = config.GridDoc{}
+	for i := 1; i <= 3000; i++ {
+		g.Rows = append(g.Rows, int64(i))
+		g.Disks = append(g.Disks, i)
+		g.Prefetch = append(g.Prefetch, i)
+		g.Allocs = append(g.Allocs, "auto")
+	}
+	docs := map[string][]byte{
+		"oversized": encodeSweepDoc(t, huge),
+		"parallelism": bytes.Replace(encodeSweepDoc(t, tinySweepDoc(100_000)),
+			[]byte(`"grid": {`), []byte(`"grid": {"parallelism": [1, 4], `), 1),
+	}
+	for name, doc := range docs {
+		for _, path := range []string{"/v1/sweep", "/v1/jobs?kind=sweep"} {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Accept", "application/json")
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, path, err)
+			}
+			var env struct {
+				Error errorBody `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+				t.Fatalf("%s %s: %d %+v (decode: %v)", name, path, resp.StatusCode, env, err)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("jobs dir after rejected submissions: %v %v", entries, err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
+		t.Fatalf("healthz after rejected grids: %d %q", resp.StatusCode, body)
 	}
 }

@@ -212,7 +212,7 @@ type Metrics struct {
 	QueueDepth int64
 	// PruneEvaluated / PruneSkipped aggregate the pipeline's
 	// branch-and-bound work split over every advisory run by this server
-	// (advise candidates plus sweep representatives). Diagnostic only.
+	// (advise candidates plus sweep scenarios). Diagnostic only.
 	PruneEvaluated int64
 	PruneSkipped   int64
 	// EvalPanics counts per-candidate evaluation panics the pipeline

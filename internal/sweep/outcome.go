@@ -6,13 +6,13 @@ import (
 	"repro/internal/core"
 )
 
-// Outcome is the checkpointable summary of one representative advisory:
+// Outcome is the checkpointable summary of one scenario's advisory:
 // exactly the fields the report serialization (WriteJSON, Table) and the
 // recommendation logic (Best, MeetsTarget) consume, in lossless form
 // (durations as integer nanoseconds, never float milliseconds). A sweep
 // resumed from persisted Outcomes produces a report byte-identical to an
 // uninterrupted run — the async job subsystem checkpoints one Outcome
-// per completed representative scenario for exactly this purpose.
+// per completed scenario for exactly this purpose.
 //
 // JSON field names are part of the on-disk checkpoint format; changing
 // them invalidates existing job checkpoints.
@@ -20,19 +20,11 @@ type Outcome struct {
 	// Failed reports an advisory error; Err carries its message.
 	Failed bool   `json:"failed,omitempty"`
 	Err    string `json:"err,omitempty"`
-	// HasResult mirrors "the advisory produced a (possibly partial)
-	// result"; prune stats are meaningful only when set.
+	// HasResult mirrors "the advisory produced a result"; prune stats
+	// are meaningful only when set.
 	HasResult      bool `json:"hasResult,omitempty"`
 	PruneEvaluated int  `json:"pruneEvaluated,omitempty"`
 	PruneSkipped   int  `json:"pruneSkipped,omitempty"`
-	// Partial mirrors core.Result.Partial: the advisory degraded
-	// gracefully under cancellation and covers only part of the candidate
-	// space. Partial outcomes are never checkpointed (they are
-	// timing-dependent; a resumed sweep must replay byte-identically), so
-	// the field is zero on every persisted Outcome — it exists for
-	// in-process consumers. Additive omitempty field: absent from all
-	// pre-existing checkpoint lines, which therefore keep decoding.
-	Partial bool `json:"partial,omitempty"`
 	// EvalPanics counts candidates whose evaluation panicked and was
 	// isolated (len of core.Result.Faults). Additive omitempty field.
 	EvalPanics int `json:"evalPanics,omitempty"`
@@ -48,9 +40,8 @@ type Outcome struct {
 	CapacityOK bool   `json:"capacityOK,omitempty"`
 }
 
-// outcomeOf derives the checkpointable summary from one representative
-// advisory. sc must be the representative scenario (its input schema
-// names the winner; identical for every scenario of the group).
+// outcomeOf derives the checkpointable summary from one scenario's
+// advisory (the scenario's input schema names the winner).
 func outcomeOf(sc *Scenario, res *core.Result, err error) Outcome {
 	var o Outcome
 	if err != nil {
@@ -61,7 +52,6 @@ func outcomeOf(sc *Scenario, res *core.Result, err error) Outcome {
 		o.HasResult = true
 		o.PruneEvaluated = res.PruneStats.Evaluated
 		o.PruneSkipped = res.PruneStats.Skipped
-		o.Partial = res.Partial
 		o.EvalPanics = len(res.Faults)
 		if ev := res.Best(); err == nil && ev != nil {
 			o.HasWinner = true
@@ -83,19 +73,14 @@ func (o *Outcome) AccessCost() time.Duration { return time.Duration(o.AccessNs) 
 // ResponseTime returns the winner's response time as a duration.
 func (o *Outcome) ResponseTime() time.Duration { return time.Duration(o.ResponseNs) }
 
-// Progress is delivered to Options.OnScenario once per representative
-// advisory, as soon as it (and therefore its whole result-sharing group)
-// completes. Calls are serialized; Done increases monotonically and
+// Progress is delivered to Options.OnScenario once per scenario, as soon
+// as it completes. Calls are serialized; Done rises by one per call and
 // reaches Total exactly when the sweep finishes.
 type Progress struct {
-	// Rep is the representative scenario's index in canonical grid
-	// order — the key a resumable caller persists the Outcome under.
-	Rep int
-	// Group is the number of scenarios sharing this advisory (the
-	// representative included).
-	Group int
-	// Done / Total count scenarios (not advisories): Done includes every
-	// scenario of every completed group.
+	// Index is the scenario's position in canonical grid order — the key
+	// a resumable caller persists the Outcome under.
+	Index int
+	// Done / Total count scenarios.
 	Done, Total int
 	// Outcome is the advisory's checkpointable summary.
 	Outcome Outcome

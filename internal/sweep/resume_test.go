@@ -36,10 +36,9 @@ func TestRunProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := len(rep.Scenarios)
-	if len(got) != rep.Advisories {
-		t.Fatalf("%d callbacks, want one per advisory (%d)", len(got), rep.Advisories)
+	if len(got) != total {
+		t.Fatalf("%d callbacks, want one per scenario (%d)", len(got), total)
 	}
-	sum, prevDone := 0, 0
 	seen := map[int]bool{}
 	for i, p := range got {
 		if p.Total != total {
@@ -48,25 +47,17 @@ func TestRunProgress(t *testing.T) {
 		if p.Resumed {
 			t.Fatalf("callback %d: Resumed on a fresh run", i)
 		}
-		if p.Group <= 0 {
-			t.Fatalf("callback %d: Group = %d", i, p.Group)
+		if p.Index < 0 || p.Index >= total || seen[p.Index] {
+			t.Fatalf("callback %d: bad or duplicate index %d", i, p.Index)
 		}
-		if seen[p.Rep] {
-			t.Fatalf("callback %d: duplicate rep %d", i, p.Rep)
+		seen[p.Index] = true
+		if p.Done != i+1 {
+			t.Fatalf("callback %d: Done = %d, want %d", i, p.Done, i+1)
 		}
-		seen[p.Rep] = true
-		sum += p.Group
-		if p.Done != prevDone+p.Group {
-			t.Fatalf("callback %d: Done = %d, want monotonic %d", i, p.Done, prevDone+p.Group)
-		}
-		prevDone = p.Done
-	}
-	if sum != total || prevDone != total {
-		t.Fatalf("progress sums: groups=%d final Done=%d, want %d", sum, prevDone, total)
 	}
 }
 
-// TestResumeByteIdentical checkpoints every representative Outcome of a
+// TestResumeByteIdentical checkpoints every scenario Outcome of a
 // full run through a JSON round-trip (the on-disk form), then replays
 // subsets of them into fresh runs: every rendered surface must equal the
 // uninterrupted run's, and resumed callbacks must replay first, in
@@ -87,7 +78,7 @@ func TestResumeByteIdentical(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ckpts[p.Rep] = o
+			ckpts[p.Index] = o
 		},
 	})
 	if err != nil {
@@ -121,7 +112,7 @@ func TestResumeByteIdentical(t *testing.T) {
 					if sawLive {
 						liveAfterResumed = false
 					}
-					resumedReps = append(resumedReps, p.Rep)
+					resumedReps = append(resumedReps, p.Index)
 				} else {
 					sawLive = true
 				}

@@ -25,27 +25,27 @@ type Options struct {
 	// marks scenarios whose winner meets it, and Best() prefers the
 	// smallest disk count among them.
 	ResponseTarget time.Duration
-	// OnScenario, when set, is called once per representative advisory
-	// as it completes (resumed ones replay first, in canonical order).
-	// Calls are serialized; the callback must not block for long — it
-	// sits between scenario completions. Results are unaffected.
+	// OnScenario, when set, is called once per scenario as it completes
+	// (resumed ones replay first, in canonical order). Calls are
+	// serialized; the callback must not block for long — it sits between
+	// scenario completions. Results are unaffected.
 	OnScenario func(Progress)
-	// Resume maps representative scenario indices (Progress.Rep from an
-	// earlier run over the identical grid) to their persisted Outcomes;
-	// those advisories are skipped and their Outcomes replayed, which is
-	// what lets an interrupted sweep continue from its last completed
-	// scenario. Entries that do not name a representative index are
-	// ignored. Resumed scenarios carry no Result (the full evaluation
-	// was never redone) but serialize byte-identically.
+	// Resume maps scenario indices (Progress.Index from an earlier run
+	// over the identical grid) to their persisted Outcomes; those
+	// scenarios are not advised again and their Outcomes are replayed,
+	// which is what lets an interrupted sweep continue from its last
+	// completed scenario. Entries that name no scenario are ignored.
+	// Resumed scenarios carry no Result (the full evaluation was never
+	// redone) but serialize byte-identically.
 	Resume map[int]Outcome
 }
 
 // ScenarioResult is one evaluated grid point.
 type ScenarioResult struct {
 	Scenario
-	// Result is the full advisory (possibly partial when Err != nil).
-	// Nil for scenarios replayed from Options.Resume: the checkpointed
-	// Outcome stands in for the evaluation.
+	// Result is the scenario's advisory. Nil when the advisory failed
+	// without one, and for scenarios replayed from Options.Resume: the
+	// checkpointed Outcome stands in for the evaluation.
 	Result *core.Result
 	// Err is the scenario's advisory error (e.g. every candidate
 	// excluded); scenario errors do not abort the sweep.
@@ -70,24 +70,19 @@ type Report struct {
 	Scenarios []ScenarioResult
 	// Target is Options.ResponseTarget.
 	Target time.Duration
-	// Advisories is the number of distinct advisories actually run —
-	// grid size minus the scenarios answered by result sharing.
-	Advisories int
 	// PruneEvaluated and PruneSkipped aggregate the branch-and-bound
-	// stage's work split over the distinct advisories (representatives
-	// only — shared scenarios are not double-counted). Diagnostic only,
+	// stage's work split over the scenarios. Diagnostic only,
 	// schedule-dependent; deliberately absent from WriteJSON.
 	PruneEvaluated, PruneSkipped int
 	// EvalPanics aggregates isolated per-candidate evaluation panics over
-	// the distinct advisories (the service's panic metric feeds from it).
+	// the scenarios (the service's panic metric feeds from it).
 	// Diagnostic only; deliberately absent from WriteJSON.
 	EvalPanics int
 }
 
-// Run expands the grid and evaluates every scenario through the shared,
-// memoizing pipeline: one costmodel.Cache for all scenarios, one
-// advisory per result-equivalence group (scenarios differing only in
-// Parallelism share it), groups advised concurrently under the worker
+// Run expands the grid and advises every scenario exactly once — or
+// replays its Outcome from Options.Resume — through one shared
+// costmodel.Cache, scenarios advised concurrently under the worker
 // pool. Scenario-level advisory failures are recorded per scenario; Run
 // itself fails only on invalid grids/inputs or context cancellation.
 func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report, error) {
@@ -104,54 +99,34 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 		cache = costmodel.NewCache()
 	}
 
-	// Group scenarios by result-equivalence class; advise each group once.
-	groupOf := map[int][]int{} // group → scenario indices, ascending
-	var reps []int             // representative scenario index per group, ascending
-	for i := range scens {
-		gk := scens[i].group
-		if len(groupOf[gk]) == 0 {
-			reps = append(reps, i)
-		}
-		groupOf[gk] = append(groupOf[gk], i)
-	}
-
-	// Partition representatives into resumed (Outcome replayed from a
-	// checkpoint) and live (advised in this run).
-	var live []int
-	resumed := make(map[int]bool, len(opts.Resume))
-	for _, i := range reps {
-		if _, ok := opts.Resume[i]; ok {
-			resumed[i] = true
-		} else {
-			live = append(live, i)
-		}
-	}
-
-	// Progress accounting: Done counts scenarios (whole groups complete
-	// with their representative); the callback is serialized under pmu.
+	// Progress accounting; the callback is serialized under pmu.
 	var pmu sync.Mutex
 	done := 0
-	notify := func(ri int, o Outcome, wasResumed bool) {
+	notify := func(i int, o Outcome, resumed bool) {
 		pmu.Lock()
 		defer pmu.Unlock()
-		done += len(groupOf[scens[ri].group])
+		done++
 		if opts.OnScenario != nil {
-			opts.OnScenario(Progress{
-				Rep:     ri,
-				Group:   len(groupOf[scens[ri].group]),
-				Done:    done,
-				Total:   len(scens),
-				Outcome: o,
-				Resumed: wasResumed,
-			})
+			opts.OnScenario(Progress{Index: i, Done: done, Total: len(scens), Outcome: o, Resumed: resumed})
 		}
 	}
-	// Replay checkpointed groups first, in canonical order, so a caller
-	// watching progress sees the resumed prefix before fresh work.
-	for _, i := range reps {
-		if resumed[i] {
-			notify(i, opts.Resume[i], true)
+
+	// Replay checkpointed scenarios first, in canonical order, so a
+	// caller watching progress sees the resumed prefix before fresh work;
+	// the rest are advised in this run.
+	rep := &Report{Scenarios: make([]ScenarioResult, len(scens)), Target: opts.ResponseTarget}
+	var live []int
+	for i := range scens {
+		o, ok := opts.Resume[i]
+		if !ok {
+			live = append(live, i)
+			continue
 		}
+		rep.Scenarios[i] = ScenarioResult{Scenario: scens[i], Outcome: o}
+		if o.Failed {
+			rep.Scenarios[i].Err = errors.New(o.Err)
+		}
+		notify(i, o, true)
 	}
 
 	workers := opts.Workers
@@ -161,13 +136,6 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 	if workers > len(live) {
 		workers = len(live)
 	}
-
-	type advised struct {
-		res     *core.Result
-		err     error
-		outcome Outcome
-	}
-	results := make([]advised, len(scens)) // indexed by representative
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -179,7 +147,7 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 				run.EvalCache = cache
 				res, err := core.AdviseContext(ctx, &run)
 				o := outcomeOf(&scens[i], res, err)
-				results[i] = advised{res: res, err: err, outcome: o}
+				rep.Scenarios[i] = ScenarioResult{Scenario: scens[i], Result: res, Err: err, Outcome: o}
 				if ctx.Err() == nil {
 					notify(i, o, false)
 				}
@@ -201,43 +169,11 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 		return nil, err
 	}
 
-	rep := &Report{
-		Scenarios:  make([]ScenarioResult, len(scens)),
-		Target:     opts.ResponseTarget,
-		Advisories: len(reps),
-	}
-	for _, ri := range reps {
-		adv := results[ri]
-		if resumed[ri] {
-			adv = advised{outcome: opts.Resume[ri]}
-			if adv.outcome.Failed {
-				adv.err = errors.New(adv.outcome.Err)
-			}
-		}
-		if adv.outcome.HasResult {
-			rep.PruneEvaluated += adv.outcome.PruneEvaluated
-			rep.PruneSkipped += adv.outcome.PruneSkipped
-			rep.EvalPanics += adv.outcome.EvalPanics
-		}
-		for _, i := range groupOf[scens[ri].group] {
-			sr := ScenarioResult{Scenario: scens[i], Err: adv.err, Outcome: adv.outcome}
-			if adv.res != nil {
-				// Share the group's evaluations and ranking (identical
-				// for every Parallelism by construction) but carry the
-				// scenario's own input, so follow-up analyses see the
-				// scenario's configuration.
-				in := *scens[i].Input
-				in.EvalCache = cache
-				sr.Result = &core.Result{
-					Input:        &in,
-					Ranked:       adv.res.Ranked,
-					Evaluations:  adv.res.Evaluations,
-					Excluded:     adv.res.Excluded,
-					EvalFailures: adv.res.EvalFailures,
-					PruneStats:   adv.res.PruneStats,
-				}
-			}
-			rep.Scenarios[i] = sr
+	for i := range rep.Scenarios {
+		if o := &rep.Scenarios[i].Outcome; o.HasResult {
+			rep.PruneEvaluated += o.PruneEvaluated
+			rep.PruneSkipped += o.PruneSkipped
+			rep.EvalPanics += o.EvalPanics
 		}
 	}
 	return rep, nil
@@ -355,7 +291,6 @@ type scenarioJSON struct {
 	Mix         string  `json:"mix,omitempty"`
 	Skew        string  `json:"skew,omitempty"`
 	Alloc       string  `json:"alloc,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
 	Winner      string  `json:"winner,omitempty"`
 	WinnerKey   string  `json:"winnerKey,omitempty"`
 	Fragments   int64   `json:"fragments,omitempty"`
@@ -364,18 +299,14 @@ type scenarioJSON struct {
 	Scheme      string  `json:"allocScheme,omitempty"`
 	CapacityOK  bool    `json:"capacityOK"`
 	MeetsTarget bool    `json:"meetsTarget,omitempty"`
-	// Partial labels a gracefully degraded advisory so partial numbers
-	// can never masquerade as complete ones. omitempty: complete-run
-	// reports are byte-identical to those written before the field
-	// existed (sync sweeps today never surface partial outcomes — Run
-	// fails on cancellation — so this is defensive labeling).
-	Partial bool   `json:"partial,omitempty"`
-	Error   string `json:"error,omitempty"`
+	Error       string  `json:"error,omitempty"`
 }
 
 // reportJSON is the machine-readable sweep report.
 type reportJSON struct {
-	TargetMs   float64        `json:"responseTargetMs,omitempty"`
+	TargetMs float64 `json:"responseTargetMs,omitempty"`
+	// Advisories counts the advisories behind the report: one per
+	// scenario.
 	Advisories int            `json:"advisories"`
 	Scenarios  []scenarioJSON `json:"scenarios"`
 	Best       string         `json:"best,omitempty"`
@@ -383,19 +314,17 @@ type reportJSON struct {
 
 // WriteJSON emits the machine-readable report (scenarios in grid order).
 func (r *Report) WriteJSON(w io.Writer) error {
-	doc := reportJSON{TargetMs: durMs(r.Target), Advisories: r.Advisories}
+	doc := reportJSON{TargetMs: durMs(r.Target), Advisories: len(r.Scenarios)}
 	for i := range r.Scenarios {
 		sr := &r.Scenarios[i]
 		row := scenarioJSON{
 			Name: sr.Name, Rows: sr.Rows, Disks: sr.Input.Disk.Disks,
-			Mix: sr.Mix, Skew: sr.Skew,
-			Alloc: sr.Alloc, Parallelism: sr.Parallelism,
+			Mix: sr.Mix, Skew: sr.Skew, Alloc: sr.Alloc,
 		}
 		if sr.Prefetch >= 0 {
 			pf := sr.Prefetch
 			row.Prefetch = &pf
 		}
-		row.Partial = sr.Outcome.Partial
 		if o := &sr.Outcome; o.HasWinner {
 			row.Winner = o.Winner
 			row.WinnerKey = o.WinnerKey

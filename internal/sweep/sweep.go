@@ -3,16 +3,11 @@
 // grids of scenarios (disk counts, query mixes, skew, prefetch granules)
 // evaluated against one schema. A Grid declares the axes of variation
 // over a base advisor input; Expand materializes the Cartesian product
-// into concrete scenarios; Run evaluates the whole grid through one
-// shared, memoizing pipeline:
-//
-//   - scenarios differing only in Parallelism are advised once (the
-//     pipeline's results are identical for every worker count by
-//     construction), and
-//   - all scenarios of a run share one costmodel.Cache, so attribute
-//     share vectors and candidate geometries — which depend on the
-//     schema but not on disks, prefetch, mix weights or allocation —
-//     are computed once per schema instead of once per scenario.
+// into concrete scenarios; Run advises every scenario exactly once,
+// concurrently, through one shared costmodel.Cache, so attribute share
+// vectors and candidate geometries — which depend on the schema but not
+// on disks, prefetch, mix weights or allocation — are computed once per
+// schema instead of once per scenario.
 //
 // Per-scenario results are bit-for-bit identical to independent
 // core.Advise calls on the scenario's input; the sweep only removes
@@ -21,6 +16,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -65,8 +61,8 @@ const (
 // Grid declares the axes of a what-if sweep over a base advisor input.
 // Empty axes keep the base value; non-empty axes multiply: the scenario
 // set is the Cartesian product of all non-empty axes, expanded in a
-// fixed canonical order (rows, disks, prefetch, mix, skew, alloc,
-// parallelism — last axis fastest).
+// fixed canonical order (rows, disks, prefetch, mix, skew, alloc — last
+// axis fastest). A grid may expand to at most MaxScenarios scenarios.
 type Grid struct {
 	// Rows varies the fact table row count (> 0).
 	Rows []int64
@@ -82,24 +78,37 @@ type Grid struct {
 	// Allocs varies the allocation scheme: AllocAuto, AllocRoundRobin or
 	// AllocGreedySize.
 	Allocs []string
-	// Parallelism varies the pipeline worker count (wall-clock only:
-	// results are identical for every value, so the sweep advises each
-	// distinct configuration once and shares the result).
-	Parallelism []int
 }
 
-// Size returns the number of scenarios the grid expands to.
+// MaxScenarios caps the scenarios one grid may expand to. It bounds the
+// memory Expand allocates up front, whoever submits the grid.
+const MaxScenarios = 4096
+
+// Size returns the number of scenarios the grid expands to, saturating
+// at math.MaxInt instead of overflowing.
 func (g *Grid) Size() int {
 	n := 1
 	for _, l := range []int{
 		len(g.Rows), len(g.Disks), len(g.Prefetch), len(g.MixScales),
-		len(g.Skews), len(g.Allocs), len(g.Parallelism),
+		len(g.Skews), len(g.Allocs),
 	} {
 		if l > 0 {
+			if n > math.MaxInt/l {
+				return math.MaxInt
+			}
 			n *= l
 		}
 	}
 	return n
+}
+
+// CheckSize reports an error when the grid expands to more than
+// MaxScenarios scenarios.
+func (g *Grid) CheckSize() error {
+	if g.Size() > MaxScenarios {
+		return fmt.Errorf("sweep: grid expands to more than %d scenarios", MaxScenarios)
+	}
+	return nil
 }
 
 // Scenario is one materialized grid point: a complete advisor input plus
@@ -115,17 +124,12 @@ type Scenario struct {
 	Input *core.Input
 
 	// Axis values (zero / empty when the axis is not in the grid).
-	Rows        int64
-	Disks       int
-	Prefetch    int
-	Mix         string
-	Skew        string
-	Alloc       string
-	Parallelism int
-
-	// group identifies the result-equivalence class: scenarios with the
-	// same group differ only in Parallelism and share one advisory.
-	group int
+	Rows     int64
+	Disks    int
+	Prefetch int
+	Mix      string
+	Skew     string
+	Alloc    string
 }
 
 // Expand materializes the grid into scenarios. Scenario inputs share the
@@ -138,6 +142,9 @@ func Expand(base *core.Input, g *Grid) ([]Scenario, error) {
 	}
 	if g == nil {
 		g = &Grid{}
+	}
+	if err := g.CheckSize(); err != nil {
+		return nil, err
 	}
 	if err := base.Validate(); err != nil {
 		return nil, fmt.Errorf("sweep: base input: %w", err)
@@ -173,8 +180,6 @@ func Expand(base *core.Input, g *Grid) ([]Scenario, error) {
 	if len(allocs) == 0 {
 		allocs = []string{""}
 	}
-	pars := orBase(g.Parallelism, 0)
-	hasPar := len(g.Parallelism) > 0
 
 	// Materialize each (rows, skew) schema and each mix once, so every
 	// scenario along the other axes shares the pointer (cache identity).
@@ -207,46 +212,37 @@ func Expand(base *core.Input, g *Grid) ([]Scenario, error) {
 	}
 
 	scens := make([]Scenario, 0, g.Size())
-	group := -1
 	for ri, r := range rows {
 		for _, d := range disks {
 			for _, pf := range prefetch {
 				for mi := range mixes {
 					for si := range skews {
 						for ai := range allocs {
-							group++
-							for _, par := range pars {
-								in := *base
-								in.Schema = schemas[ri][si]
-								in.Mix = mixVals[mi]
-								if d > 0 {
-									in.Disk.Disks = d
-								}
-								if pf >= 0 {
-									in.Disk.PrefetchPages = pf
-									in.Disk.BitmapPrefetchPages = pf
-								}
-								if allocs[ai] != "" {
-									in.AllocScheme = allocVals[ai]
-								}
-								if hasPar {
-									in.Parallelism = par
-								}
-								sc := Scenario{
-									Index:       len(scens),
-									Input:       &in,
-									Rows:        r,
-									Disks:       d,
-									Prefetch:    pf,
-									Mix:         mixes[mi].Name,
-									Skew:        skews[si].Name,
-									Alloc:       allocs[ai],
-									Parallelism: par,
-									group:       group,
-								}
-								sc.Name = scenarioName(&sc, g, hasPar)
-								scens = append(scens, sc)
+							in := *base
+							in.Schema = schemas[ri][si]
+							in.Mix = mixVals[mi]
+							if d > 0 {
+								in.Disk.Disks = d
 							}
+							if pf >= 0 {
+								in.Disk.PrefetchPages = pf
+								in.Disk.BitmapPrefetchPages = pf
+							}
+							if allocs[ai] != "" {
+								in.AllocScheme = allocVals[ai]
+							}
+							sc := Scenario{
+								Index:    len(scens),
+								Input:    &in,
+								Rows:     r,
+								Disks:    d,
+								Prefetch: pf,
+								Mix:      mixes[mi].Name,
+								Skew:     skews[si].Name,
+								Alloc:    allocs[ai],
+							}
+							sc.Name = scenarioName(&sc, g)
+							scens = append(scens, sc)
 						}
 					}
 				}
@@ -341,7 +337,7 @@ func parseAlloc(v string) (*alloc.Scheme, error) {
 }
 
 // scenarioName renders the axis values present in the grid.
-func scenarioName(sc *Scenario, g *Grid, hasPar bool) string {
+func scenarioName(sc *Scenario, g *Grid) string {
 	var parts []string
 	if len(g.Rows) > 0 {
 		parts = append(parts, fmt.Sprintf("rows=%d", sc.Rows))
@@ -372,9 +368,6 @@ func scenarioName(sc *Scenario, g *Grid, hasPar bool) string {
 	}
 	if len(g.Allocs) > 0 {
 		parts = append(parts, "alloc="+sc.Alloc)
-	}
-	if hasPar {
-		parts = append(parts, fmt.Sprintf("par=%d", sc.Parallelism))
 	}
 	if len(parts) == 0 {
 		return "base"

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,16 +30,16 @@ func baseInput(t testing.TB, rows int64, disks int) *core.Input {
 	return &core.Input{Schema: s, Mix: m, Disk: d}
 }
 
-// fullGrid is a ≥12-scenario grid exercising result sharing (parallelism
-// axis) and the shared geometry cache (disks and mix axes).
+// fullGrid is a 12-scenario grid exercising the shared geometry cache
+// (disks, prefetch and mix axes on one schema).
 func fullGrid() *Grid {
 	return &Grid{
-		Disks: []int{8, 16, 32},
+		Disks:    []int{8, 16, 32},
+		Prefetch: []int{0, 8},
 		MixScales: []MixScale{
 			{Name: "base"},
 			{Name: "boost-Q3", Factors: map[string]float64{"Q3-store-month": 8}},
 		},
-		Parallelism: []int{1, 4},
 	}
 }
 
@@ -55,9 +56,6 @@ func TestSweepBitIdenticalToColdAdvise(t *testing.T) {
 	}
 	if len(rep.Scenarios) != 12 {
 		t.Fatalf("grid expanded to %d scenarios, want 12", len(rep.Scenarios))
-	}
-	if rep.Advisories != 6 {
-		t.Fatalf("sweep ran %d advisories, want 6 (parallelism axis shared)", rep.Advisories)
 	}
 	for _, sr := range rep.Scenarios {
 		if sr.Err != nil {
@@ -169,6 +167,52 @@ func TestExpandErrors(t *testing.T) {
 	}
 	if _, err := Expand(&core.Input{}, &Grid{}); err == nil {
 		t.Error("invalid base accepted")
+	}
+}
+
+// TestGridSize pins the scenario count, including a product of axis
+// lengths that overflows int: Size saturates instead of wrapping.
+func TestGridSize(t *testing.T) {
+	if n := (&Grid{}).Size(); n != 1 {
+		t.Fatalf("empty grid size %d, want 1", n)
+	}
+	if n := fullGrid().Size(); n != 12 {
+		t.Fatalf("fullGrid size %d, want 12", n)
+	}
+	// 1500^6 > 2^63: six axes of 1500 values each.
+	const l = 1500
+	huge := &Grid{
+		Rows:      make([]int64, l),
+		Disks:     make([]int, l),
+		Prefetch:  make([]int, l),
+		MixScales: make([]MixScale, l),
+		Skews:     make([]SkewSetting, l),
+		Allocs:    make([]string, l),
+	}
+	if n := huge.Size(); n != math.MaxInt {
+		t.Fatalf("overflowing grid size %d, want math.MaxInt", n)
+	}
+}
+
+// TestExpandRejectsOversizedGrid: a grid above MaxScenarios is an error
+// from Expand (and so from Run), not an allocation sized by the grid.
+func TestExpandRejectsOversizedGrid(t *testing.T) {
+	base := baseInput(t, 200_000, 8)
+	at := &Grid{Disks: make([]int, 64), Prefetch: make([]int, MaxScenarios/64)}
+	over := &Grid{}
+	for i := 1; i <= 3000; i++ {
+		over.Disks = append(over.Disks, i)
+		over.Prefetch = append(over.Prefetch, i)
+		over.Allocs = append(over.Allocs, AllocAuto)
+	}
+	if err := at.CheckSize(); err != nil {
+		t.Fatalf("grid of exactly MaxScenarios rejected: %v", err)
+	}
+	if _, err := Expand(base, over); err == nil || !strings.Contains(err.Error(), "more than 4096 scenarios") {
+		t.Fatalf("Expand on a %d-scenario grid: err = %v", over.Size(), err)
+	}
+	if _, err := Run(context.Background(), base, over, Options{}); err == nil {
+		t.Fatal("Run accepted an oversized grid")
 	}
 }
 
@@ -321,7 +365,7 @@ func TestSweepSharesGeometryCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All 6 advisories share one schema; the cache inside the run is not
+	// All 12 advisories share one schema; the cache inside the run is not
 	// directly visible here, but the scenario results must expose the
 	// cache through their inputs for follow-up evaluations.
 	for _, sr := range rep.Scenarios {

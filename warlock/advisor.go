@@ -20,9 +20,9 @@ import (
 //	)
 //	res, err := adv.Advise(ctx, in)
 //
-// A zero-option Advisor behaves exactly like the deprecated top-level
-// functions: warlock.New().Advise(ctx, in) is bit-for-bit identical to
-// warlock.Advise(in). An Advisor is immutable after New and safe for
+// A zero-option Advisor adds nothing to its inputs: its Advise and Sweep
+// results are bit-for-bit identical to the pipeline and sweep engine run
+// on the same input. An Advisor is immutable after New and safe for
 // concurrent use by multiple goroutines.
 type Advisor struct {
 	cache       *EvalCache
@@ -93,7 +93,8 @@ func (a *Advisor) prepared(in *Input) *Input {
 // threshold exclusion, parallel cost-model evaluation, streaming
 // twofold ranking — under ctx: on cancellation the pipeline drains
 // cleanly and the context's error is returned. Results are bit-for-bit
-// identical to the deprecated Advise/AdviseContext for the same input.
+// identical for every Advisor option: the options trade wall-clock time
+// only.
 func (a *Advisor) Advise(ctx context.Context, in *Input) (*Result, error) {
 	return core.AdviseContext(ctx, a.prepared(in))
 }

@@ -6,33 +6,34 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/warlock"
 )
 
-// TestAdvisorMatchesDeprecatedAdvise pins the deprecation contract: the
-// old top-level entry points must stay thin wrappers whose rendered
-// output is byte-identical to the Advisor API, so existing callers can
-// migrate (or not) without any behavioural diff.
+// TestAdvisorMatchesDeprecatedAdvise pins the parity the removed
+// top-level wrappers used to carry: a zero-option Advisor's Advise
+// renders byte-identically to the pipeline it fronts, and the
+// advisor-level knobs never change the output.
 func TestAdvisorMatchesDeprecatedAdvise(t *testing.T) {
-	in := smallInput(t)
-	//lint:ignore SA1019 the test exists to pin the deprecated wrapper's parity
-	old, err := warlock.Advise(smallInput(t))
+	ctx := context.Background()
+	want, err := core.AdviseContext(ctx, smallInput(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := warlock.New().Advise(context.Background(), in)
+	res, err := warlock.New().Advise(ctx, smallInput(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warlock.Report(old) != warlock.Report(res) {
-		t.Fatal("Advisor.Advise output differs from deprecated Advise")
+	if warlock.Report(want) != warlock.Report(res) {
+		t.Fatal("Advisor.Advise output differs from core.AdviseContext")
 	}
 
 	// The advisor-level knobs are wall-clock-only: same bytes again.
 	tuned, err := warlock.New(
 		warlock.WithEvalCache(warlock.NewEvalCache()),
 		warlock.WithParallelism(3),
-	).Advise(context.Background(), smallInput(t))
+	).Advise(ctx, smallInput(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,51 +42,51 @@ func TestAdvisorMatchesDeprecatedAdvise(t *testing.T) {
 	}
 }
 
-// TestAdvisorMatchesDeprecatedSweep pins the same contract for sweeps,
-// options merging included.
+// TestAdvisorMatchesDeprecatedSweep pins the same parity for sweeps: a
+// zero-option Advisor's SweepWithOptions and Scenarios match sweep.Run
+// and sweep.Expand on the same input.
 func TestAdvisorMatchesDeprecatedSweep(t *testing.T) {
-	grid := &warlock.SweepGrid{Disks: []int{8, 16}, Parallelism: []int{1, 2}}
-	target := 500 * time.Millisecond
-	//lint:ignore SA1019 the test exists to pin the deprecated wrapper's parity
-	old, err := warlock.Sweep(smallInput(t), grid, warlock.SweepOptions{ResponseTarget: target})
+	ctx := context.Background()
+	grid := &warlock.SweepGrid{Disks: []int{8, 16}, Prefetch: []int{0, 8}}
+	opts := warlock.SweepOptions{ResponseTarget: 500 * time.Millisecond}
+	want, err := sweep.Run(ctx, smallInput(t), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := warlock.New(warlock.WithResponseTarget(target), warlock.WithSweepWorkers(2))
-	rep, err := adv.Sweep(context.Background(), smallInput(t), grid)
+	adv := warlock.New()
+	rep, err := adv.SweepWithOptions(ctx, smallInput(t), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Scenarios) != len(old.Scenarios) {
-		t.Fatalf("scenarios: %d vs %d", len(rep.Scenarios), len(old.Scenarios))
+	if len(rep.Scenarios) != len(want.Scenarios) {
+		t.Fatalf("scenarios: %d vs %d", len(rep.Scenarios), len(want.Scenarios))
 	}
 	for i := range rep.Scenarios {
 		// PruneEvaluated/PruneSkipped are schedule-dependent diagnostics
 		// (absent from every rendered surface); everything else must match.
-		a, b := rep.Scenarios[i].Outcome, old.Scenarios[i].Outcome
+		a, b := rep.Scenarios[i].Outcome, want.Scenarios[i].Outcome
 		a.PruneEvaluated, a.PruneSkipped = 0, 0
 		b.PruneEvaluated, b.PruneSkipped = 0, 0
 		if a != b {
 			t.Fatalf("scenario %d outcome differs: %+v vs %+v", i, a, b)
 		}
 	}
-	if ob, nb := old.Best(), rep.Best(); (ob == nil) != (nb == nil) ||
-		(ob != nil && ob.Index != nb.Index) {
-		t.Fatal("Best() differs from deprecated Sweep")
+	if wb, nb := want.Best(), rep.Best(); (wb == nil) != (nb == nil) ||
+		(wb != nil && wb.Index != nb.Index) {
+		t.Fatal("Best() differs from sweep.Run")
 	}
-	var oldJSON, newJSON bytes.Buffer
-	if err := old.WriteJSON(&oldJSON); err != nil {
+	var wantJSON, newJSON bytes.Buffer
+	if err := want.WriteJSON(&wantJSON); err != nil {
 		t.Fatal(err)
 	}
 	if err := rep.WriteJSON(&newJSON); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(oldJSON.Bytes(), newJSON.Bytes()) {
-		t.Fatal("rendered sweep JSON differs between deprecated Sweep and Advisor")
+	if !bytes.Equal(wantJSON.Bytes(), newJSON.Bytes()) {
+		t.Fatal("rendered sweep JSON differs between sweep.Run and Advisor")
 	}
 
-	//lint:ignore SA1019 the test exists to pin the deprecated wrapper's parity
-	oldScens, err := warlock.SweepScenarios(smallInput(t), grid)
+	wantScens, err := sweep.Expand(smallInput(t), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,12 @@ func TestAdvisorMatchesDeprecatedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scens) != len(oldScens) {
-		t.Fatalf("expand: %d vs %d scenarios", len(scens), len(oldScens))
+	if len(scens) != len(wantScens) {
+		t.Fatalf("expand: %d vs %d scenarios", len(scens), len(wantScens))
 	}
 	for i := range scens {
-		if scens[i].Name != oldScens[i].Name {
-			t.Fatalf("scenario %d name %q vs %q", i, scens[i].Name, oldScens[i].Name)
+		if scens[i].Name != wantScens[i].Name {
+			t.Fatalf("scenario %d name %q vs %q", i, scens[i].Name, wantScens[i].Name)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package warlock_test
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/warlock"
 )
@@ -16,7 +18,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with the current pipeline output")
 
 // The golden corpus snapshots the complete rendered advisory —
-// Report(Advise(in)) — for two reference workloads. The pipeline is
+// Report(Advise(in)) — for two reference workloads, and one rendered
+// sweep report over the first. The pipeline is
 // deterministic by construction (no clock or global-rand seeding, and
 // Parallelism never changes results), so any byte-level drift in these
 // files is a real behavioural change in enumeration, pruning, the cost
@@ -75,6 +78,35 @@ func TestGoldenSkewedRetail(t *testing.T) {
 		t.Fatalf("skewed retail winner should use greedy allocation, got %v", res.Best().Placement.Scheme)
 	}
 	goldenCompare(t, "skewed-retail.golden", warlock.Report(res))
+}
+
+// TestGoldenSweepReport pins both rendered forms of a multi-axis sweep
+// report (table, then JSON): a disks × prefetch × allocation grid over
+// the APB-1 workload of TestGoldenAPB1, with a response-time target.
+func TestGoldenSweepReport(t *testing.T) {
+	schema := warlock.APB1Schema(1_000_000)
+	mix, err := warlock.APB1Mix(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := &warlock.SweepGrid{
+		Disks:    []int{8, 16},
+		Prefetch: []int{0, 8},
+		Allocs:   []string{"auto", "greedy-size"},
+	}
+	adv := warlock.New(warlock.WithResponseTarget(500 * time.Millisecond))
+	rep, err := adv.Sweep(context.Background(), &warlock.Input{Schema: schema, Mix: mix, Disk: warlock.DefaultDisk(16)}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.Table(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "sweep-report.golden", buf.String())
 }
 
 // TestGoldenDeterministicAcrossParallelism guards the premise the sweep

@@ -22,8 +22,7 @@
 // New returns an Advisor, the context-first front door: options set the
 // cross-call configuration once (WithEvalCache, WithParallelism,
 // WithSweepWorkers, WithResponseTarget, WithEndpoint), and every method
-// takes a context. The older top-level Advise/Sweep functions remain as
-// thin deprecated wrappers with bit-identical outputs.
+// takes a context.
 //
 // # Concurrency
 //
@@ -35,7 +34,7 @@
 // workers, and a streaming top-k ranking stage. Input.Parallelism sets
 // the worker count (<= 0 uses GOMAXPROCS); results are bit-for-bit
 // identical for every value and with pruning on or off, so both knobs
-// trade wall-clock time only. AdviseContext adds cancellation: on ctx
+// trade wall-clock time only. Advisor.Advise honours its context: on
 // cancellation the pipeline drains cleanly and the context's error is
 // returned.
 //
@@ -84,11 +83,12 @@
 //	rep.Table(os.Stdout)
 //	best := rep.Best() // smallest disk count meeting the target
 //
-// Scenarios run concurrently; attribute share vectors and candidate
-// geometries are computed once per schema rather than once per scenario,
-// and scenarios differing only in Parallelism share one advisory. Every
-// per-scenario result is bit-for-bit identical to an independent Advise
-// call on the scenario's input.
+// Each scenario is advised exactly once, scenarios run concurrently, and
+// attribute share vectors and candidate geometries are computed once per
+// schema rather than once per scenario. Every per-scenario result is
+// bit-for-bit identical to an independent Advise call on the scenario's
+// input. A grid may expand to at most 4,096 scenarios; larger grids are
+// an error.
 //
 // # Advisory service
 //
@@ -162,7 +162,6 @@
 package warlock
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"time"
@@ -266,9 +265,9 @@ type (
 
 // What-if scenario sweeps.
 type (
-	// SweepGrid declares the axes of a what-if sweep (disk counts,
-	// query-mix reweightings, skew, prefetch granules, allocation
-	// schemes, parallelism) over a base Input.
+	// SweepGrid declares the axes of a what-if sweep (rows, disk
+	// counts, query-mix reweightings, skew, prefetch granules,
+	// allocation schemes) over a base Input.
 	SweepGrid = sweep.Grid
 	// SweepMixScale is one query-mix reweighting axis value.
 	SweepMixScale = sweep.MixScale
@@ -285,45 +284,14 @@ type (
 	// a tabular renderer and a machine-readable JSON form.
 	SweepReport = sweep.Report
 	// EvalCache shares candidate-independent cost-model state across
-	// advisories on the same schema (Input.EvalCache); Sweep manages
+	// advisories on the same schema (Input.EvalCache); Advisor.Sweep manages
 	// one automatically.
 	EvalCache = costmodel.Cache
 )
 
-// Sweep evaluates a declarative what-if grid over the base input through
-// one shared, memoizing pipeline: scenarios run concurrently, scenarios
-// differing only in Parallelism share one advisory, and all scenarios
-// share attribute share vectors and candidate geometries where the
-// schema is unchanged. Per-scenario results are bit-for-bit identical
-// to independent Advise calls on the scenario inputs — the sweep only
-// removes repeated work (an N-scenario grid costs far less than N cold
-// advisories).
-//
-// Deprecated: use New(...).Sweep (or SweepWithOptions for explicit
-// per-call options), which takes a context. Outputs are bit-identical.
-func Sweep(base *Input, grid *SweepGrid, opts SweepOptions) (*SweepReport, error) {
-	return sweep.Run(context.Background(), base, grid, opts)
-}
-
-// SweepContext is Sweep with cancellation: on ctx cancellation all
-// scenario pipelines drain cleanly and the context's error is returned.
-//
-// Deprecated: use New(...).SweepWithOptions. Outputs are bit-identical.
-func SweepContext(ctx context.Context, base *Input, grid *SweepGrid, opts SweepOptions) (*SweepReport, error) {
-	return sweep.Run(ctx, base, grid, opts)
-}
-
-// SweepScenarios expands a grid into its materialized scenarios without
-// evaluating them — useful to inspect or cost a sweep before running it.
-//
-// Deprecated: use New(...).Scenarios. Outputs are bit-identical.
-func SweepScenarios(base *Input, grid *SweepGrid) ([]SweepScenario, error) {
-	return sweep.Expand(base, grid)
-}
-
 // NewEvalCache returns an empty shared evaluation-state cache for
-// advanced callers wiring Input.EvalCache by hand; Sweep manages one
-// per run automatically.
+// advanced callers wiring Input.EvalCache by hand; Advisor.Sweep
+// manages one per run automatically.
 func NewEvalCache() *EvalCache { return costmodel.NewCache() }
 
 // Advisory service.
@@ -374,24 +342,6 @@ const (
 	RoundRobin = alloc.RoundRobin
 	GreedySize = alloc.GreedySize
 )
-
-// Advise runs the full WARLOCK pipeline: candidate generation, threshold
-// exclusion, parallel cost-model evaluation (Input.Parallelism workers)
-// and streaming twofold ranking.
-//
-// Deprecated: use New(...).Advise, which takes a context. Outputs are
-// bit-identical.
-func Advise(in *Input) (*Result, error) { return core.Advise(in) }
-
-// AdviseContext is Advise with cancellation: when ctx is cancelled the
-// pipeline stages drain cleanly, no goroutine outlives the call, and the
-// context's error is returned. Results are identical to Advise for every
-// Parallelism value.
-//
-// Deprecated: use New(...).Advise. Outputs are bit-identical.
-func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
-	return core.AdviseContext(ctx, in)
-}
 
 // AdviseMulti advises several fact tables sharing one disk pool and
 // co-allocates their winning fragmentations (paper §2: "one or more fact
