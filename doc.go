@@ -46,7 +46,12 @@
 // per-fragment accumulation folds the precomputed addends in exact
 // logical fragment order — bit-identical to the naive loop it replaced
 // and O(distinct sizes) instead of O(fragments). The granule search and
-// the branch-and-bound floor share the same dedup. Around the kernel,
+// the branch-and-bound floor share the same dedup. The response-time
+// expectation builds each dimension's outcome table in one O(values)
+// pass and walks every hit pattern by stride — an odometer over the outer
+// dimensions carries the fragment-id prefix and the innermost values are
+// added to it — visiting fragments in the same order as a per-hit id
+// computation, so every busy-time sum is unchanged. Around the kernel,
 // core's pipeline dispatches candidates to the worker pool in chunks,
 // each worker owns its evaluation scratch for its whole lifetime (no
 // pool contention, no cross-CPU buffer migration), and idle workers park

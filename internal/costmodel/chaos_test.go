@@ -64,7 +64,6 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 		}
 		for i := range es.idx {
 			es.idx[i] = rng.Int()
-			es.vals[i] = -rng.Int()
 			es.choice[i] = rng.Int()
 		}
 		es.touched = append(es.touched[:0], rng.Int(), rng.Int())

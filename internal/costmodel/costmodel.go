@@ -335,22 +335,20 @@ func Outcomes(plan *ClassPlan, mapping skew.Mapping) [][][]int {
 	return out
 }
 
-// dimOutcomes builds one fragmentation attribute's outcome sets. The
-// result depends only on (Case, FragCard, QueryCard) and the mapping, so
-// the Evaluator memoizes it per key (dimOutcomeSets); the returned slices
-// are treated as read-only by every consumer.
+// dimOutcomes builds one fragmentation attribute's outcome sets in
+// O(FragCard): each fragment value is appended to the set of its
+// ancestor, so every set lists its values in ascending order and a query
+// value without fragment values keeps a nil set. The result depends only
+// on (Case, FragCard, QueryCard) and the mapping, so the Evaluator
+// memoizes it per key (dimOutcomeSets); the returned slices are treated
+// as read-only by every consumer.
 func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
 	switch dp.Case {
 	case CoarserEq:
 		sets := make([][]int, dp.QueryCard)
-		for w := 0; w < dp.QueryCard; w++ {
-			var hit []int
-			for v := 0; v < dp.FragCard; v++ {
-				if Ancestor(v, dp.FragCard, dp.QueryCard, mapping) == w {
-					hit = append(hit, v)
-				}
-			}
-			sets[w] = hit
+		for v := 0; v < dp.FragCard; v++ {
+			w := Ancestor(v, dp.FragCard, dp.QueryCard, mapping)
+			sets[w] = append(sets[w], v)
 		}
 		return sets
 	case Finer:
@@ -440,27 +438,39 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 	touched := sc.touched[:0]
 	sets := sc.sets[:len(outcomes)]
 	idx := sc.idx[:len(outcomes)]
-	vals := sc.vals[:len(outcomes)]
 	evalPattern := func(choice []int) float64 {
-		// Enumerate the Cartesian product of the chosen hit sets.
+		// Enumerate the Cartesian product of the chosen hit sets in
+		// logical fragment order: an odometer over the outer dimensions
+		// carries the fragment-id prefix, and the innermost dimension's
+		// values are added to it directly. Without fragmentation
+		// attributes the single fragment 0 is hit.
 		for i, c := range choice {
 			sets[i] = outcomes[i][c]
 		}
+		inner, outer, innerCard := noAttrHits, sets, int64(1)
+		if n := len(sets); n > 0 {
+			inner, outer, innerCard = sets[n-1], sets[:n-1], int64(plan.Dims[n-1].FragCard)
+		}
 		clear(idx)
 		for {
-			for i := range sets {
-				vals[i] = sets[i][idx[i]]
+			var base int64
+			for i, s := range outer {
+				base = base*int64(plan.Dims[i].FragCard) + int64(s[idx[i]])
 			}
-			fid := plan.fragID(vals)
-			tv := cls[sz.ClassOf[fid]].tv
-			if busy[pl.DiskOf[fid]] == 0 && tv > 0 {
-				touched = append(touched, pl.DiskOf[fid])
+			base *= innerCard
+			for _, v := range inner {
+				fid := base + int64(v)
+				d := pl.DiskOf[fid]
+				tv := cls[sz.ClassOf[fid]].tv
+				if busy[d] == 0 && tv > 0 {
+					touched = append(touched, d)
+				}
+				busy[d] += tv
 			}
-			busy[pl.DiskOf[fid]] += tv
-			i := len(idx) - 1
+			i := len(outer) - 1
 			for ; i >= 0; i-- {
 				idx[i]++
-				if idx[i] < len(sets[i]) {
+				if idx[i] < len(outer[i]) {
 					break
 				}
 				idx[i] = 0
@@ -517,16 +527,9 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 	return sum / responseSamples, false
 }
 
-// fragID maps fragment-attribute values to the fragment's logical id using
-// the plan's cardinalities (identical to Fragmentation.FragmentID but
-// without re-deriving cardinalities from the schema).
-func (p *ClassPlan) fragID(vals []int) int64 {
-	id := int64(0)
-	for i, dp := range p.Dims {
-		id = id*int64(dp.FragCard) + int64(vals[i])
-	}
-	return id
-}
+// noAttrHits is the hit set of a candidate without fragmentation
+// attributes: its single fragment, id 0.
+var noAttrHits = []int{0}
 
 // granulesTouched returns the expected number of granules holding at
 // least one qualifying row when a fragment of `rows` rows spread evenly

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,15 +11,17 @@ import (
 	"repro/internal/apb"
 	"repro/internal/fragment"
 	"repro/internal/schema"
+	"repro/internal/skew"
 	"repro/internal/workload"
 )
 
-// This file pins the size-class kernel to the pre-kernel semantics: the
-// naive per-fragment loops below are the retained reference
-// implementation (the exact code the kernel replaced), and the property
-// tests assert bit-for-bit equality between the two on randomized
-// geometries — uniform and skewed — so any drift in summation order,
-// operand order or skip conditions fails loudly.
+// This file pins the size-class kernel, the linear outcome-table build
+// and the strided hit-pattern walk to the pre-kernel semantics: the naive
+// per-fragment loops below are the retained reference implementation (the
+// exact code the kernel replaced), and the property tests assert
+// bit-for-bit equality between the two on randomized geometries — uniform
+// and skewed — so any drift in summation order, operand order or skip
+// conditions fails loudly.
 
 // naiveClassCost is the pre-kernel evaluateClass: FragmentCost and
 // Seconds per fragment, accumulators folded in logical fragment order.
@@ -59,10 +62,58 @@ func naiveClassCost(cfg *Config, f *fragment.Fragmentation, g *fragment.Geometry
 	return cc
 }
 
+// naiveDimOutcomes is the quadratic outcome-table build dimOutcomes
+// replaced: for every query value w, a scan of all fragment values
+// collecting those whose ancestor is w.
+func naiveDimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
+	switch dp.Case {
+	case CoarserEq:
+		sets := make([][]int, dp.QueryCard)
+		for w := 0; w < dp.QueryCard; w++ {
+			var hit []int
+			for v := 0; v < dp.FragCard; v++ {
+				if Ancestor(v, dp.FragCard, dp.QueryCard, mapping) == w {
+					hit = append(hit, v)
+				}
+			}
+			sets[w] = hit
+		}
+		return sets
+	case Finer:
+		sets := make([][]int, dp.FragCard)
+		for v := 0; v < dp.FragCard; v++ {
+			sets[v] = []int{v}
+		}
+		return sets
+	default: // Unreferenced
+		all := make([]int, dp.FragCard)
+		for v := range all {
+			all[v] = v
+		}
+		return [][]int{all}
+	}
+}
+
+// fragID maps fragment-attribute values to the fragment's logical id using
+// the plan's cardinalities (identical to Fragmentation.FragmentID but
+// without re-deriving cardinalities from the schema) — the per-hit id
+// computation the strided walk replaced.
+func (p *ClassPlan) fragID(vals []int) int64 {
+	id := int64(0)
+	for i, dp := range p.Dims {
+		id = id*int64(dp.FragCard) + int64(vals[i])
+	}
+	return id
+}
+
 // naiveExpectedMaxResponse is the pre-kernel response expectation: fresh
-// outcome sets per call, per-fragment service times from a tv array.
+// quadratic outcome tables per call, a full fragment id per hit, and
+// per-fragment service times from a tv array.
 func naiveExpectedMaxResponse(cfg *Config, plan *ClassPlan, pl *alloc.Placement, tv []float64, sampleSeed int64) (float64, bool) {
-	outcomes := Outcomes(plan, cfg.Mapping)
+	outcomes := make([][][]int, len(plan.Dims))
+	for i, dp := range plan.Dims {
+		outcomes[i] = naiveDimOutcomes(dp, cfg.Mapping)
+	}
 	combos := 1
 	hitsPerCombo := 1
 	for _, sets := range outcomes {
@@ -191,6 +242,7 @@ func compareClassCost(t *testing.T, label string, got, want ClassCost) {
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	checked := 0
+	var attrChecked [3]int // candidates by attribute count: 0, 1, 2+
 	for trial := 0; trial < 40; trial++ {
 		s := randomBoundStar(rng)
 		m, err := workload.RandomMix(s, 1+rng.Intn(5), rng.Int63())
@@ -202,7 +254,7 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 			d.PrefetchPages = 1 << rng.Intn(7)
 			d.BitmapPrefetchPages = d.PrefetchPages
 		}
-		cfg := &Config{Schema: s, Mix: m, Disk: d, MaxFragments: 1 << 20}
+		cfg := &Config{Schema: s, Mix: m, Disk: d, MaxFragments: 1 << 20, Mapping: skew.Mapping(rng.Intn(2))}
 		e, err := NewEvaluator(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: evaluator: %v", trial, err)
@@ -212,11 +264,17 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 			cands = cands[:12]
 		}
+		// The strided walk's edge cases: no fragmentation attribute (one
+		// hit, fragment 0) and a single one (no outer odometer).
+		dim := rng.Intn(len(s.Dimensions))
+		single := fragment.MustNew(s, schema.AttrRef{Dim: dim, Level: rng.Intn(len(s.Dimensions[dim].Levels))})
+		cands = append(cands, &fragment.Fragmentation{}, single)
 		for _, f := range cands {
 			ev, err := e.Evaluate(f)
 			if err != nil {
 				continue
 			}
+			attrChecked[min(len(f.Attrs()), 2)]++
 			for i := range m.Classes {
 				plan := PlanClass(s, f, ev.Scheme, &m.Classes[i])
 				want := naiveClassCost(cfg, f, ev.Geometry, ev.Placement, &plan,
@@ -231,7 +289,70 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 	if checked < 300 {
 		t.Fatalf("kernel property sweep only checked %d class costs", checked)
 	}
-	t.Logf("kernel property: %d class costs bit-identical", checked)
+	if attrChecked[0] == 0 || attrChecked[1] == 0 || attrChecked[2] == 0 {
+		t.Fatalf("candidates checked by attribute count (0, 1, 2+) = %v; every shape must be covered", attrChecked)
+	}
+	t.Logf("kernel property: %d class costs bit-identical; candidates by attribute count (0, 1, 2+) = %v", checked, attrChecked)
+}
+
+// dimOutcomeCases are the (fragCard, queryCard) shapes the outcome-table
+// property test always covers: equal cardinalities, a single query value,
+// a query cardinality that does not divide the fragment cardinality, and
+// the paper-scale Product.code table.
+var dimOutcomeCases = [][2]int{{1, 1}, {7, 7}, {12, 1}, {10, 3}, {9000, 605}, {9000, 250}, {4096, 100}, {2000, 2000}}
+
+// TestDimOutcomesMatchNaive: the linear outcome-table build yields exactly
+// the quadratic reference's sets — same values, same order, nil where the
+// reference has nil — for every case and mapping, on fixed edge shapes
+// and random cardinalities.
+func TestDimOutcomesMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	shapes := append([][2]int(nil), dimOutcomeCases...)
+	for i := 0; i < 100; i++ {
+		fc := 1 + rng.Intn(400)
+		shapes = append(shapes, [2]int{fc, 1 + rng.Intn(fc)}, [2]int{fc, 1 + rng.Intn(2*fc)})
+	}
+	checked := 0
+	for _, sh := range shapes {
+		for _, m := range []skew.Mapping{skew.Interleaved, skew.Contiguous} {
+			for _, kase := range []DimCase{Unreferenced, CoarserEq, Finer} {
+				dp := DimPlan{Case: kase, FragCard: sh[0], QueryCard: sh[1]}
+				if kase == Unreferenced {
+					dp.QueryCard = 0
+				}
+				if got, want := dimOutcomes(dp, m), naiveDimOutcomes(dp, m); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v %v: linear build differs from the quadratic reference", dp, m)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d outcome tables identical", checked)
+}
+
+// FuzzDimOutcomes extends TestDimOutcomesMatchNaive to fuzzer-chosen
+// cardinalities, mappings and cases (cardinalities clamped to [1, 1<<14]).
+func FuzzDimOutcomes(f *testing.F) {
+	for _, sh := range dimOutcomeCases {
+		f.Add(sh[0], sh[1], uint8(0), uint8(1))
+		f.Add(sh[0], sh[1], uint8(1), uint8(1))
+	}
+	f.Add(5, 9, uint8(1), uint8(1))
+	f.Add(3, 0, uint8(0), uint8(0))
+	f.Add(6, 12, uint8(0), uint8(2))
+	clamp := func(v int) int {
+		if v < 1 {
+			return 1
+		}
+		return min(v, 1<<14)
+	}
+	f.Fuzz(func(t *testing.T, fragCard, queryCard int, mapping, kase uint8) {
+		dp := DimPlan{Case: DimCase(kase % 3), FragCard: clamp(fragCard), QueryCard: clamp(queryCard)}
+		m := skew.Mapping(mapping % 2)
+		if got, want := dimOutcomes(dp, m), naiveDimOutcomes(dp, m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v %v: linear build differs from the quadratic reference", dp, m)
+		}
+	})
 }
 
 // shardedStar is a schema whose fragmented geometry has enough distinct
@@ -381,6 +502,67 @@ func BenchmarkEvaluateSizeClasses(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			naiveClassCost(cfg, best, ev.Geometry, ev.Placement, &plan,
 				ev.FactPrefetch, ev.BitmapPrefetch)
+		}
+	})
+}
+
+// BenchmarkExpectedMaxResponse compares the response-time expectation of
+// the linear outcome-table build plus strided walk against the naive
+// reference (quadratic build, full fragment id per hit) on the
+// paper-scale configuration (24M-row APB-1, 64 disks) and candidate
+// Product.code, whose 9000-value outcome tables dominated the CLI
+// advisory. One op prices every mix class, table builds included: the
+// kernel side clears the evaluator's outcome memo before each class.
+func BenchmarkExpectedMaxResponse(b *testing.B) {
+	s := apb.Schema(24_000_000)
+	m, err := apb.Mix(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := &Config{Schema: s, Mix: m, Disk: apb.Disk(64), MaxFragments: 1 << 20}
+	e, err := NewEvaluator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := fragment.Parse(s, "Product.code")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := e.Evaluate(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sz := ev.Geometry.SizeClasses()
+	sc := e.NewScratch(nil).es
+	sc.resize(ev.Placement.Disks, len(f.Attrs()), len(m.Classes))
+	plans := make([]ClassPlan, len(m.Classes))
+	cls := make([][]sizeClassCost, len(m.Classes))
+	tvs := make([][]float64, len(m.Classes))
+	for i := range m.Classes {
+		plans[i] = PlanClass(s, f, ev.Scheme, &m.Classes[i])
+		cls[i] = append([]sizeClassCost(nil), e.priceSizeClasses(&plans[i], ev.Geometry.PageSize, sz,
+			ev.FactPrefetch, ev.BitmapPrefetch, sc)...)
+		tvs[i] = make([]float64, len(sz.ClassOf))
+		for v, ci := range sz.ClassOf {
+			tvs[i][v] = cls[i][ci].tv
+		}
+	}
+
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for c := range plans {
+				clear(e.outcomes)
+				e.expectedMaxResponse(&plans[c], ev.Placement, sz, cls[c], SampleSeed(f, plans[c].Class), sc)
+			}
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for c := range plans {
+				naiveExpectedMaxResponse(cfg, &plans[c], ev.Placement, tvs[c], SampleSeed(f, plans[c].Class))
+			}
 		}
 	})
 }

@@ -22,11 +22,11 @@ type evalScratch struct {
 	// outs holds the per-dimension outcome sets of the class currently
 	// being priced (pointers into the Evaluator's outcome cache).
 	outs [][][]int
-	// sets/idx/vals/choice are the hit-pattern cursors, one entry per
+	// sets/idx/choice are the hit-pattern cursors, one entry per
 	// fragmentation attribute.
-	sets      [][]int
-	idx, vals []int
-	choice    []int
+	sets   [][]int
+	idx    []int
+	choice []int
 	// plans holds the candidate's per-class plans, in mix order; Dims
 	// capacity is reused across candidates.
 	plans []ClassPlan
@@ -63,7 +63,6 @@ func (sc *evalScratch) resize(disks, dims, classes int) {
 	}
 	sc.outs = sc.outs[:dims]
 	sc.idx = growInts(sc.idx, dims)
-	sc.vals = growInts(sc.vals, dims)
 	sc.choice = growInts(sc.choice, dims)
 	if cap(sc.plans) < classes {
 		sc.plans = make([]ClassPlan, classes)

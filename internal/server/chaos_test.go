@@ -47,6 +47,11 @@ func TestAllowPartialDeadlineReturns200(t *testing.T) {
 		RequestTimeout: time.Nanosecond, // dead on arrival: maximal degradation
 		AllowPartial:   true,
 	})
+	// The evaluation context is cancelled only once the flight's last
+	// waiter departs, and a fast pipeline could otherwise price every
+	// candidate before that happens. Holding the leader until the
+	// cancellation lands makes the deadline expire mid-advisory.
+	srv.evalHook = func(ctx context.Context) { <-ctx.Done() }
 	for i := 0; i < 2; i++ {
 		code, state, body := post(t, ts, "/v1/advise", encodeDoc(t, tinyDoc(100_000)))
 		if code != http.StatusOK {
