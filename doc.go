@@ -45,8 +45,11 @@
 // service times) is computed once per (query class, size class), and the
 // per-fragment accumulation folds the precomputed addends in exact
 // logical fragment order — bit-identical to the naive loop it replaced
-// and O(distinct sizes) instead of O(fragments). The granule search and
-// the branch-and-bound floor share the same dedup. The response-time
+// and O(distinct sizes) instead of O(fragments). The granule search, the
+// branch-and-bound floor, the bitmap footprint and the co-located bitmap
+// pages of the allocation weights share the same dedup; the passes that
+// still visit every fragment are the geometry, the placement, the fold
+// and the hit-pattern walk. The response-time
 // expectation builds each dimension's outcome table in one O(values)
 // pass and walks every hit pattern by stride — an odometer over the outer
 // dimensions carries the fragment-id prefix and the innermost values are

@@ -225,22 +225,28 @@ func PackedPagesPerFragment(rows float64, slices int, pageSize int) int64 {
 }
 
 // IndexBytes returns the total storage of one index over all fragments of
-// the geometry.
+// the geometry. A fragment's footprint depends only on its row count, so
+// the sum runs over the geometry's size classes, each weighted by its
+// fragment count; the terms are integers, so the total equals the
+// per-fragment sum exactly.
 func IndexBytes(ix Index, g *fragment.Geometry) int64 {
+	sz := g.SizeClasses()
 	var total int64
-	for _, rows := range g.Rows {
-		total += SliceBytesPerFragment(rows) * int64(ix.Slices)
+	for c, rows := range sz.Rows {
+		total += sz.Count[c] * (SliceBytesPerFragment(rows) * int64(ix.Slices))
 	}
 	return total
 }
 
 // IndexPages returns the total page count of one index over all fragments,
 // packing the index's slices per fragment — bitmap fragments are stored
-// fragment-aligned like the fact table.
+// fragment-aligned like the fact table. Summed per size class, exactly as
+// IndexBytes.
 func IndexPages(ix Index, g *fragment.Geometry) int64 {
+	sz := g.SizeClasses()
 	var total int64
-	for _, rows := range g.Rows {
-		total += PackedPagesPerFragment(rows, ix.Slices, g.PageSize)
+	for c, rows := range sz.Rows {
+		total += sz.Count[c] * PackedPagesPerFragment(rows, ix.Slices, g.PageSize)
 	}
 	return total
 }

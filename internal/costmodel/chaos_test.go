@@ -8,6 +8,7 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apb"
@@ -62,6 +63,12 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 		for i := range es.cls {
 			es.cls[i] = sizeClassCost{w: math.NaN(), sel: -1}
 		}
+		for i := range es.classBM {
+			es.classBM[i] = rng.Int63() - rng.Int63()
+		}
+		for i := range es.weights {
+			es.weights[i] = -rng.Int63()
+		}
 		for i := range es.idx {
 			es.idx[i] = rng.Int()
 			es.choice[i] = rng.Int()
@@ -85,6 +92,13 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 				t.Fatalf("trial %d %s: poisoned scratch leaked into results: %v/%v vs %v/%v",
 					trial, f.Name(s), got.AccessCost, got.ResponseTime,
 					want[i].AccessCost, want[i].ResponseTime)
+			}
+			// The allocation weights come from the scratch too.
+			if got.Placement.Scheme != want[i].Placement.Scheme ||
+				!slices.Equal(got.Placement.DiskOf, want[i].Placement.DiskOf) ||
+				!slices.Equal(got.Placement.Load, want[i].Placement.Load) ||
+				got.BitmapPagesTotal != want[i].BitmapPagesTotal {
+				t.Fatalf("trial %d %s: poisoned scratch leaked into the placement", trial, f.Name(s))
 			}
 		}
 	}

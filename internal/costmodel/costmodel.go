@@ -571,17 +571,9 @@ func cardenas(G, k float64) float64 {
 	if G == 1 {
 		return 1
 	}
-	t := G * (1 - math.Pow(1-1/G, k))
-	if t > G {
-		t = G
-	}
-	if t < 1 {
-		// At least one cell is touched once k > 0 rows qualify... for
-		// fractional expected k < 1 the expectation may be below 1; keep
-		// the raw value for unbiased aggregation.
-		return t
-	}
-	return t
+	// The expectation may fall below one cell for fractional k < 1; it
+	// is kept as is, unbiased for aggregation.
+	return min(G*(1-math.Pow(1-1/G, k)), G)
 }
 
 // PrefetchCap bounds the advisor-chosen prefetch granule in pages (a
@@ -589,25 +581,39 @@ func cardenas(G, k float64) float64 {
 // configured explicitly.
 const PrefetchCap = 256
 
-// allocationPages returns the per-fragment allocation weight: fact pages
-// plus the co-located bitmap pages of every index (slices packed per
-// fragment).
-func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme) []int64 {
-	out := make([]int64, len(g.Pages))
-	for i := range g.Pages {
-		out[i] = g.Pages[i]
+// classBitmapPages writes into dst, grown as needed, the co-located
+// bitmap pages of one fragment of each size class: every index's slices
+// packed per fragment.
+func classBitmapPages(dst []int64, sz *fragment.SizeClasses, scheme *bitmap.Scheme, pageSize int) []int64 {
+	dst = growInt64s(dst, sz.NumClasses())
+	for c, rows := range sz.Rows {
+		var p int64
 		for _, ix := range scheme.Indexes {
-			out[i] += bitmap.PackedPagesPerFragment(g.Rows[i], ix.Slices, g.PageSize)
+			p += bitmap.PackedPagesPerFragment(rows, ix.Slices, pageSize)
 		}
+		dst[c] = p
 	}
-	return out
+	return dst
+}
+
+// allocationPages writes into dst, grown as needed, the per-fragment
+// allocation weight: fact pages plus the co-located bitmap pages of the
+// fragment's size class (bm, from classBitmapPages).
+func allocationPages(dst, bm []int64, g *fragment.Geometry) []int64 {
+	dst = growInt64s(dst, len(g.Pages))
+	for v, c := range g.SizeClasses().ClassOf {
+		dst[v] = g.Pages[v] + bm[c]
+	}
+	return dst
 }
 
 // AllocationPages exposes the per-fragment allocation weight of an
 // evaluation (fact + co-located bitmap pages), used by multi-fact-table
-// co-allocation.
+// co-allocation. The slice is freshly allocated.
 func AllocationPages(ev *Evaluation) []int64 {
-	return allocationPages(ev.Geometry, ev.Scheme)
+	g := ev.Geometry
+	bm := classBitmapPages(nil, g.SizeClasses(), ev.Scheme, g.PageSize)
+	return allocationPages(nil, bm, g)
 }
 
 // EvaluateAll runs the model over a candidate list, skipping candidates

@@ -170,14 +170,17 @@ func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.
 
 	// Allocation weight: fact pages + co-located bitmap pages per fragment
 	// (bitmap fragmentation exactly follows the fact table fragmentation;
-	// each index's slices are packed per fragment).
-	allocPages := allocationPages(g, scheme)
+	// each index's slices are packed per fragment). The bitmap pages are
+	// priced once per size class and fanned out into the scratch; the
+	// allocator does not keep the weights.
+	sc.classBM = classBitmapPages(sc.classBM, g.SizeClasses(), scheme, g.PageSize)
+	sc.weights = allocationPages(sc.weights, sc.classBM, g)
 	var pl *alloc.Placement
 	var err error
 	if cfg.AllocScheme != nil {
-		pl, err = alloc.Allocate(*cfg.AllocScheme, allocPages, cfg.Disk.Disks)
+		pl, err = alloc.Allocate(*cfg.AllocScheme, sc.weights, cfg.Disk.Disks)
 	} else {
-		pl, err = alloc.Choose(allocPages, cfg.Disk.Disks, cfg.SkewCVThreshold)
+		pl, err = alloc.Choose(sc.weights, cfg.Disk.Disks, cfg.SkewCVThreshold)
 	}
 	if err != nil {
 		return nil, err

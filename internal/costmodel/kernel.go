@@ -27,6 +27,15 @@ import (
 // FragmentCost here, and lowerbound.go's admissible floor memoizes its
 // per-row service-time kernel across candidates (boundState.floorMemo) —
 // one size, the single fact row, priced once per distinct selectivity.
+// The placement's inputs are priced per size class too: the co-located
+// bitmap pages of one fragment (classBitmapPages) and the scheme's bitmap
+// footprint (bitmap.IndexPages) are computed once per class, and only
+// the fan-out of the allocation weights touches every fragment.
+//
+// The passes that still visit every fragment are the geometry (sizes and
+// the size-class table, built once per geometry), the placement (weight
+// fan-out, size CV and the allocator), the fold in evaluateClass and the
+// hit-pattern walk in expectedMaxResponse.
 
 // sizeClassCost is the kernel's output for one (class, size class) pair:
 // the raw fragment I/O plus every HitProb-weighted per-fragment addend of

@@ -16,6 +16,11 @@ type evalScratch struct {
 	// class); rbusy is the hit-pattern enumeration's accumulator, kept
 	// all-zero between patterns by the enumeration itself.
 	busy, rbusy []float64
+	// classBM holds the co-located bitmap pages of one fragment per size
+	// class, and weights the per-fragment allocation weights fanned out
+	// from it; both are overwritten for every candidate before use, and
+	// the allocator reads weights without keeping it.
+	classBM, weights []int64
 	// touched lists the disks a pattern actually loaded (capacity =
 	// disks, so appends never regrow it).
 	touched []int
@@ -104,6 +109,13 @@ func (s *Scratch) Reset() {
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func growInt64s(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
 	}
 	return s[:n]
 }

@@ -224,16 +224,24 @@ func (g *Geometry) SizeClasses() *SizeClasses {
 			pages int64
 		}
 		index := make(map[sizeKey]int32, 64)
+		// Neighbouring fragments usually share a size (the last attribute
+		// varies fastest, and a uniform one keeps the size), so a fragment
+		// equal to its predecessor reuses its class without hashing.
+		var prev sizeKey
+		c := int32(-1)
 		for v := 0; v < n; v++ {
 			sz.SumRows += g.Rows[v]
 			k := sizeKey{rows: math.Float64bits(g.Rows[v]), pages: g.Pages[v]}
-			c, ok := index[k]
-			if !ok {
-				c = int32(len(sz.Rows))
-				index[k] = c
-				sz.Rows = append(sz.Rows, g.Rows[v])
-				sz.Pages = append(sz.Pages, g.Pages[v])
-				sz.Count = append(sz.Count, 0)
+			if c < 0 || k != prev {
+				var ok bool
+				if c, ok = index[k]; !ok {
+					c = int32(len(sz.Rows))
+					index[k] = c
+					sz.Rows = append(sz.Rows, g.Rows[v])
+					sz.Pages = append(sz.Pages, g.Pages[v])
+					sz.Count = append(sz.Count, 0)
+				}
+				prev = k
 			}
 			sz.Count[c]++
 			sz.ClassOf[v] = c

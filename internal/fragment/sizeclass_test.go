@@ -1,6 +1,10 @@
 package fragment
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,6 +115,109 @@ func TestSizeClassesConcurrent(t *testing.T) {
 	for i := 1; i < goroutines; i++ {
 		if tables[i] != tables[0] {
 			t.Fatal("concurrent SizeClasses calls returned distinct tables")
+		}
+	}
+}
+
+// mapSizeClasses is the reference size-class build: one map lookup per
+// fragment, classes numbered by first appearance.
+func mapSizeClasses(g *Geometry) *SizeClasses {
+	type sizeKey struct {
+		rows  uint64
+		pages int64
+	}
+	sz := &SizeClasses{ClassOf: make([]int32, len(g.Pages))}
+	index := map[sizeKey]int32{}
+	for v := range g.Pages {
+		sz.SumRows += g.Rows[v]
+		k := sizeKey{rows: math.Float64bits(g.Rows[v]), pages: g.Pages[v]}
+		c, ok := index[k]
+		if !ok {
+			c = int32(len(sz.Rows))
+			index[k] = c
+			sz.Rows = append(sz.Rows, g.Rows[v])
+			sz.Pages = append(sz.Pages, g.Pages[v])
+			sz.Count = append(sz.Count, 0)
+		}
+		sz.Count[c]++
+		sz.ClassOf[v] = c
+	}
+	return sz
+}
+
+// sameSizeClasses reports the first field in which two tables differ,
+// comparing floats by bit pattern.
+func sameSizeClasses(got, want *SizeClasses) string {
+	if !slices.Equal(got.ClassOf, want.ClassOf) {
+		return "ClassOf"
+	}
+	if len(got.Rows) != len(want.Rows) {
+		return "Rows"
+	}
+	for c := range got.Rows {
+		if math.Float64bits(got.Rows[c]) != math.Float64bits(want.Rows[c]) {
+			return "Rows"
+		}
+	}
+	if !slices.Equal(got.Pages, want.Pages) {
+		return "Pages"
+	}
+	if !slices.Equal(got.Count, want.Count) {
+		return "Count"
+	}
+	if math.Float64bits(got.SumRows) != math.Float64bits(want.SumRows) {
+		return "SumRows"
+	}
+	return ""
+}
+
+// TestSizeClassesMatchesMapReference pins the run shortcut in
+// Geometry.SizeClasses (a fragment equal to its predecessor skips the map)
+// to the map-only build, bit for bit, on inputs that defeat the shortcut
+// and on random geometries with few distinct sizes.
+func TestSizeClassesMatchesMapReference(t *testing.T) {
+	type size struct {
+		rows  float64
+		pages int64
+	}
+	a, b, c := size{100, 2}, size{50, 1}, size{100, 3}
+	cases := map[string][]size{
+		"ABAB":                     {a, b, a, b},
+		"AABA":                     {a, a, b, a},
+		"all distinct":             {a, b, c, {7, 1}, {0, 0}},
+		"all equal":                {a, a, a, a, a},
+		"single":                   {b},
+		"rows equal, pages differ": {a, c, a, c, c},
+		// ±0 and NaN differ from their neighbours by bit pattern only.
+		"signed zero": {{0, 0}, {math.Copysign(0, -1), 0}, {0, 0}},
+		"NaN":         {{math.NaN(), 1}, {math.NaN(), 1}, a, {math.NaN(), 1}},
+		"empty":       {},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		pool := make([]size, 1+rng.Intn(4))
+		for j := range pool {
+			pool[j] = size{float64(rng.Intn(3)) * 0.5, int64(rng.Intn(2))}
+		}
+		in := make([]size, 1+rng.Intn(40))
+		for j := range in {
+			// Runs of random length, drawn from a small pool.
+			if j == 0 || rng.Intn(3) == 0 {
+				in[j] = pool[rng.Intn(len(pool))]
+			} else {
+				in[j] = in[j-1]
+			}
+		}
+		cases[fmt.Sprintf("random %d", i)] = in
+	}
+	for name, in := range cases {
+		g := &Geometry{Rows: make([]float64, len(in)), Pages: make([]int64, len(in))}
+		for v, s := range in {
+			g.Rows[v], g.Pages[v] = s.rows, s.pages
+		}
+		want := mapSizeClasses(g)
+		if field := sameSizeClasses(g.SizeClasses(), want); field != "" {
+			t.Errorf("%s: %s differs from the map-only reference", name, field)
 		}
 	}
 }
