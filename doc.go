@@ -55,12 +55,14 @@
 // dimensions carries the fragment-id prefix and the innermost values are
 // added to it — visiting fragments in the same order as a per-hit id
 // computation, so every busy-time sum is unchanged. Around the kernel,
-// core's pipeline dispatches candidates to the worker pool in chunks,
-// each worker owns its evaluation scratch for its whole lifetime (no
-// pool contention, no cross-CPU buffer migration), and idle workers park
-// capacity tokens that a worker pricing a huge candidate borrows to
-// shard the kernel fill (costmodel.Sharder) — so a few giant candidates
-// do not serialize the tail of a run. Every per-candidate computation is
+// core's pipeline enumerates the surviving candidates into a slice and
+// its workers claim them one at a time from a shared atomic cursor, each
+// worker owns its evaluation scratch for its whole lifetime (no pool
+// contention, no cross-CPU buffer migration), and a worker that runs out
+// of candidates parks a capacity token as it exits, which a worker
+// pricing a huge candidate borrows to shard the kernel fill
+// (costmodel.Sharder) — so a few giant candidates do not serialize the
+// tail of a run. Every per-candidate computation is
 // pure and deterministically seeded; Input.Parallelism changes wall-clock
 // time only.
 // bench_test.go in this directory hosts one benchmark per experiment in

@@ -74,10 +74,13 @@ func Allocate(scheme Scheme, pages []int64, disks int) (*Placement, error) {
 	pl := &Placement{Scheme: scheme, Disks: disks, DiskOf: make([]int, len(pages)), Load: make([]int64, disks)}
 	switch scheme {
 	case RoundRobin:
+		d := 0 // i % disks, by a wrapping counter
 		for i, p := range pages {
-			d := i % disks
 			pl.DiskOf[i] = d
 			pl.Load[d] += p
+			if d++; d == disks {
+				d = 0
+			}
 		}
 	case GreedySize:
 		greedy(pl, pages)

@@ -251,3 +251,34 @@ func TestGreedyLPTBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRoundRobinMatchesModulo: the wrapping-counter placement equals the
+// modulo reference (fragment i on disk i % disks) for every disk count
+// 1-65, over fragment counts below, at and well above the disk count.
+func TestRoundRobinMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for disks := 1; disks <= 65; disks++ {
+		for _, n := range []int{1, disks, disks + 1, 3*disks + 2} {
+			pages := make([]int64, n)
+			for i := range pages {
+				pages[i] = rng.Int63n(1000)
+			}
+			pl, err := Allocate(RoundRobin, pages, disks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := make([]int64, disks)
+			for i, p := range pages {
+				if pl.DiskOf[i] != i%disks {
+					t.Fatalf("disks=%d n=%d: fragment %d on disk %d, want %d", disks, n, i, pl.DiskOf[i], i%disks)
+				}
+				load[i%disks] += p
+			}
+			for d := range load {
+				if pl.Load[d] != load[d] {
+					t.Fatalf("disks=%d n=%d: disk %d load %d, want %d", disks, n, d, pl.Load[d], load[d])
+				}
+			}
+		}
+	}
+}

@@ -64,7 +64,7 @@ type Input struct {
 	// every point fragmentation of the schema.
 	Candidates []*fragment.Fragmentation
 	// Parallelism is the number of cost-model evaluation workers of the
-	// streaming pipeline. <= 0 uses GOMAXPROCS. Results are bit-for-bit
+	// pipeline. <= 0 uses GOMAXPROCS. Results are bit-for-bit
 	// identical for every value; only wall-clock time changes.
 	Parallelism int
 	// DisablePruning switches off the branch-and-bound stage that skips
@@ -177,16 +177,16 @@ type Coverage struct {
 // evaluation panic takes (see Input.Faults).
 const FaultEvaluate = "core/evaluate"
 
-// StageTimings is the wall-clock breakdown of one pipeline run. The
-// pipeline is streaming — enumeration, evaluation and ranking overlap —
-// so Pipeline covers the whole concurrent drain rather than pretending
-// the stages were sequential.
+// StageTimings is the wall-clock breakdown of one pipeline run.
+// Evaluation and collection overlap, so Pipeline covers enumeration plus
+// the whole concurrent evaluation rather than pretending the stages were
+// sequential.
 type StageTimings struct {
 	// Setup covers input validation and evaluator construction
 	// (per-schema state: share vectors, skew tables).
 	Setup time.Duration
-	// Pipeline covers the streaming enumerate → prune → evaluate →
-	// collect drain across all workers.
+	// Pipeline covers enumerate → prune, then evaluate → collect
+	// across all workers.
 	Pipeline time.Duration
 	// Rank covers final result assembly and the twofold ranking.
 	Rank time.Duration

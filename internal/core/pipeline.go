@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
@@ -15,20 +15,24 @@ import (
 	"repro/internal/rank"
 )
 
-// The prediction layer runs as a concurrent streaming pipeline:
+// The prediction layer runs as one evaluation loop:
 //
-//	enumerate ──► prune (thresholds) ──► bound (branch & bound) ──► evaluate (N workers) ──► rank (top-k)
+//	enumerate + prune (thresholds) ──► bound (branch & bound) ──► evaluate (N workers) ──► rank (top-k)
 //
-// The enumerator yields candidates lazily (fragment.EnumerateSeq); the
-// threshold pre-check drops candidates before any geometry exists; a
-// worker pool prices survivors with one shared goroutine-safe
-// costmodel.Evaluator; and a streaming rank.Collector maintains the
-// twofold top-k without waiting for the full evaluation set. Between the
-// pre-check and the full evaluation sits a branch-and-bound stage: once
-// the collector's bounded heap fills, each worker first compares the
-// candidate's admissible cost lower bound (costmodel.LowerBound — no
-// geometry, no allocation) against the heap's published admission cutoff
-// and skips the evaluation of provable losers.
+// The calling goroutine enumerates the candidates and runs the threshold
+// pre-check, collecting the survivors into a slice before any geometry
+// exists (enumeration is a negligible share of an advisory). A worker
+// pool then prices the survivors with one shared goroutine-safe
+// costmodel.Evaluator: each worker claims the next survivor index from
+// a shared atomic cursor and writes its verdict into that index's result
+// slot, so the result slice is in enumeration order without a sort. The
+// workers feed a streaming rank.Collector, which maintains the twofold
+// top-k as evaluations complete. Between the pre-check and the full
+// evaluation sits a branch-and-bound stage: once the collector's bounded
+// heap fills, each worker first compares the candidate's admissible cost
+// lower bound (costmodel.LowerBound — no geometry, no allocation)
+// against the heap's published admission cutoff and skips the
+// evaluation of provable losers.
 //
 // The evaluation stage is organized for throughput on three levels:
 //
@@ -36,40 +40,34 @@ import (
 //     (rows, pages) size once per query class and folds the results per
 //     fragment (costmodel kernel.go) — the transcendental-heavy math runs
 //     O(distinct sizes), not O(fragments).
-//   - Per-worker scratch + chunked dispatch: every worker owns one
+//   - Per-worker scratch + cursor dispatch: every worker owns one
 //     costmodel.Scratch for its lifetime (buffers are reused and stay
-//     hot in one goroutine), and candidates travel through the work
-//     channel in chunks so channel operations amortize across many
-//     candidates instead of costing one synchronization each.
-//   - Intra-candidate sharding: workers park an idle token
-//     (costmodel.Sharder) while blocked on the work channel; a worker
-//     pricing a candidate with a huge size-class table borrows parked
+//     hot in one goroutine), and claiming a candidate costs one atomic
+//     add.
+//   - Intra-candidate sharding: a worker that finds the cursor exhausted
+//     parks its token (costmodel.Sharder) as it exits; a worker still
+//     pricing a candidate with a huge size-class table borrows those
 //     tokens and splits the kernel fill across that many extra
-//     goroutines, so a few giant candidates near the end of the stream
-//     no longer serialize the run.
+//     goroutines, so a few giant candidates near the end of the run
+//     do not serialize it.
 //
 // Every per-candidate computation is pure and deterministically seeded,
 // all ordered outputs are keyed by the candidate's enumeration index, and
 // skipping is only ever applied to candidates that could not have
 // influenced any output, so the Result is bit-for-bit identical for any
-// worker count, chunking, sharding, and with pruning on or off —
-// Parallelism and DisablePruning only change wall-clock time (PruneStats
-// records the diagnostic split).
+// worker count, sharding, and with pruning on or off — Parallelism and
+// DisablePruning only change wall-clock time (PruneStats records the
+// diagnostic split).
 
-// workItem is one surviving candidate entering the evaluation stage.
-type workItem struct {
-	idx  int // enumeration index among survivors
-	frag *fragment.Fragmentation
-}
-
-// evalResult is the evaluation stage's output for one candidate.
+// evalResult is the evaluation stage's verdict on one survivor. The zero
+// value marks a candidate no worker reached before cancellation.
 type evalResult struct {
-	idx     int
 	ev      *costmodel.Evaluation // nil when excluded, failed or skipped
 	vio     *fragment.Violation   // post-evaluation threshold violation
 	err     error                 // evaluation failure
 	fault   *Fault                // evaluation panicked; isolated
 	skipped bool                  // pruned: lower bound proved it a loser
+	done    bool                  // evaluated: exactly one of ev, vio, err, fault is set
 }
 
 // redactPanic renders a recovered panic value for Result.Faults: the
@@ -85,35 +83,14 @@ func redactPanic(p any) string {
 	return s
 }
 
-// maxWorkers caps the evaluation pool: beyond it extra goroutines and
-// channel buffers only cost memory — no advisory has that many cores to
-// use.
+// maxWorkers caps the evaluation pool: beyond it extra goroutines only
+// cost memory — no advisory has that many cores to use.
 const maxWorkers = 1024
 
-// maxEvalChunk caps the dispatch chunk: candidates enter the evaluation
-// stage in slices of up to this many, so the per-candidate channel cost
-// amortizes away on big enumerations.
-const maxEvalChunk = 64
-
-// evalChunkSize picks the dispatch chunk for an enumeration of at most
-// maxCands candidates over `workers` workers: large enough to amortize
-// channel synchronization, small enough that every worker still sees
-// several chunks (load balance on small candidate sets).
-func evalChunkSize(maxCands, workers int) int {
-	c := maxCands / (workers * 8)
-	if c < 1 {
-		return 1
-	}
-	if c > maxEvalChunk {
-		return maxEvalChunk
-	}
-	return c
-}
-
 // parallelism resolves the worker count: explicit value, or GOMAXPROCS,
-// clamped to [1, min(maxWorkers, maxCands)] so absurd Parallelism values
-// (or tiny candidate sets) cannot balloon goroutines and buffers.
-func (in *Input) parallelism(maxCands int) int {
+// clamped to [1, min(maxWorkers, survivors)] so absurd Parallelism values
+// (or tiny candidate sets) cannot balloon goroutines.
+func (in *Input) parallelism(survivors int) int {
 	p := in.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
@@ -121,8 +98,8 @@ func (in *Input) parallelism(maxCands int) int {
 	if p > maxWorkers {
 		p = maxWorkers
 	}
-	if p > maxCands {
-		p = maxCands
+	if p > survivors {
+		p = survivors
 	}
 	if p < 1 {
 		p = 1
@@ -170,7 +147,6 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 	}
 	res.Timings.Setup = time.Since(start)
 	source, maxCands := in.candidateSource(th)
-	workers := in.parallelism(maxCands)
 
 	// Branch-and-bound gate. Pruning must be unobservable, so it stays
 	// off whenever a skipped candidate could have surfaced anywhere:
@@ -180,71 +156,48 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 	// pre-check, so a survivor can never join Excluded after evaluation).
 	pruneOn := !in.DisablePruning && !in.Rank.RequireCapacity && th.MaxSizeCV == 0
 
-	chunk := evalChunkSize(maxCands, workers)
-	work := make(chan []workItem, 2*workers)
-	out := make(chan evalResult, 2*workers*chunk)
-
-	// The collector is shared between stage 3 (Add/AddSkipped, single
-	// goroutine) and the workers, which only read the atomically
-	// published admission cutoff.
-	coll := rank.NewCollector(in.Rank, maxCands)
-
-	// Stage 1: enumerate + prune. Runs in its own goroutine so candidates
-	// stream into the workers while later ones are still being generated.
-	// Survivors are dispatched in chunks (one channel operation per
-	// `chunk` candidates); each chunk slice is freshly allocated and
-	// handed off — the receiving worker owns it. Pre-check violations are
-	// recorded here in enumeration order; the main goroutine reads them
-	// only after the pipeline fully drains.
+	// Stage 1: enumerate + prune, in the calling goroutine. Pre-check
+	// violations are recorded in enumeration order.
 	var preVios []fragment.Violation
-	survivors := 0
-	go func() {
-		defer close(work)
-		batch := make([]workItem, 0, chunk)
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			select {
-			case work <- batch:
-				batch = make([]workItem, 0, chunk)
-				return true
-			case <-ctx.Done():
-				return false
-			}
+	var survivors []*fragment.Fragmentation
+	for f, v := range source {
+		if ctx.Err() != nil {
+			break
 		}
-		for f, v := range source {
-			if ctx.Err() != nil {
-				return
-			}
-			if v != nil {
-				preVios = append(preVios, *v)
-				continue
-			}
-			batch = append(batch, workItem{idx: survivors, frag: f})
-			survivors++
-			if len(batch) == chunk && !flush() {
-				return
-			}
+		if v != nil {
+			preVios = append(preVios, *v)
+			continue
 		}
-		flush()
-	}()
+		survivors = append(survivors, f)
+	}
 
-	// Stage 2: parallel evaluation + post-evaluation threshold check. The
-	// shared Evaluator is goroutine-safe and every evaluation is pure, so
-	// worker scheduling cannot influence any result. Each worker owns one
-	// Scratch for its lifetime and parks an idle token with the shared
-	// Sharder while blocked on the work channel (a worker that exits
-	// leaves its token parked — exited workers are permanently idle
-	// capacity for intra-candidate sharding). After cancellation the
-	// workers keep draining `work` without evaluating, so the producer
-	// never blocks on a full channel.
+	// Stage 2: parallel evaluation + post-evaluation threshold check +
+	// collection. The shared Evaluator is goroutine-safe and every
+	// evaluation is pure, so worker scheduling cannot influence any
+	// result. Each worker owns one Scratch for its lifetime, claims
+	// survivors through the shared cursor until it runs dry or the
+	// context fails, and parks its token with the shared Sharder as it
+	// exits: exited workers are the idle capacity intra-candidate
+	// sharding borrows. The collector ingests verdicts as they complete
+	// (its total-order tie-break makes arrival order irrelevant); Add
+	// and AddSkipped are serialized by collMu, while the workers read
+	// the atomically published admission cutoff lock-free. Skipped
+	// candidates still enter the pool count (AddSkipped) so the
+	// leading-set fraction matches the unpruned run exactly.
+	coll := rank.NewCollector(in.Rank, maxCands)
+	results := make([]evalResult, len(survivors))
+	workers := in.parallelism(len(survivors))
 	sharder := costmodel.NewSharder(workers)
-	var wg sync.WaitGroup
+	var (
+		cursor atomic.Int64
+		collMu sync.Mutex
+		wg     sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer sharder.Park()
 			sc := eval.NewScratch(sharder)
 			// evalOne prices one candidate with per-candidate panic
 			// isolation: a panic anywhere in the evaluation (including one
@@ -252,27 +205,24 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 			// FaultEvaluate failpoint) is recovered here, the possibly
 			// half-mutated scratch is discarded, and the candidate surfaces
 			// as a Fault instead of killing the advisory.
-			evalOne := func(item workItem) (r evalResult) {
-				r.idx = item.idx
+			evalOne := func(f *fragment.Fragmentation) (r evalResult) {
+				r.done = true
 				defer func() {
 					if p := recover(); p != nil {
 						sc.Reset()
-						r = evalResult{idx: item.idx, fault: &Fault{
-							Key:   item.frag.Key(),
-							Panic: redactPanic(p),
-						}}
+						r = evalResult{done: true, fault: &Fault{Key: f.Key(), Panic: redactPanic(p)}}
 					}
 				}()
 				// The failpoint fires inside the recover scope so an
 				// injected panic exercises exactly the path a real one
 				// takes; an injected error rides the EvalFailures path.
 				if err := in.Faults.Hit(FaultEvaluate); err != nil {
-					r.err = fmt.Errorf("%s: %w", item.frag.Name(in.Schema), err)
+					r.err = fmt.Errorf("%s: %w", f.Name(in.Schema), err)
 					return r
 				}
-				switch ev, err := eval.EvaluateWith(sc, item.frag); {
+				switch ev, err := eval.EvaluateWith(sc, f); {
 				case err != nil:
-					r.err = fmt.Errorf("%s: %w", item.frag.Name(in.Schema), err)
+					r.err = fmt.Errorf("%s: %w", f.Name(in.Schema), err)
 				default:
 					// Post-evaluation threshold check (size-based
 					// exclusions under skew that the cheap pre-check
@@ -283,77 +233,45 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 				}
 				return r
 			}
-			for {
-				sharder.Park()
-				batch, ok := <-work
-				if !ok {
+			for ctx.Err() == nil {
+				i := int(cursor.Add(1) - 1)
+				if i >= len(survivors) {
 					return
 				}
-				sharder.Unpark()
-				for _, item := range batch {
-					if ctx.Err() != nil {
-						continue
-					}
-					if pruneOn {
-						if cut, ok := coll.Cutoff(); ok {
-							if lbCost, lbResp, bounded := eval.LowerBound(item.frag); bounded &&
-								!cut.Admits(lbCost, lbResp, item.frag.Key()) {
-								// The bound proves the candidate cannot beat the
-								// worst retained evaluation (and the cutoff only
-								// tightens), so skipping it cannot change any
-								// output. Unbounded candidates (e.g. share-vector
-								// failures) always fall through to evaluation so
-								// their failure modes are reproduced exactly.
-								select {
-								case out <- evalResult{idx: item.idx, skipped: true}:
-								case <-ctx.Done():
-								}
-								continue
-							}
+				f := survivors[i]
+				if pruneOn {
+					if cut, ok := coll.Cutoff(); ok {
+						if lbCost, lbResp, bounded := eval.LowerBound(f); bounded &&
+							!cut.Admits(lbCost, lbResp, f.Key()) {
+							// The bound proves the candidate cannot beat the
+							// worst retained evaluation (and the cutoff only
+							// tightens), so skipping it cannot change any
+							// output. Unbounded candidates (e.g. share-vector
+							// failures) always fall through to evaluation so
+							// their failure modes are reproduced exactly.
+							results[i].skipped = true
+							collMu.Lock()
+							coll.AddSkipped()
+							collMu.Unlock()
+							continue
 						}
 					}
-					select {
-					case out <- evalOne(item):
-					case <-ctx.Done():
-					}
+				}
+				results[i] = evalOne(f)
+				if ev := results[i].ev; ev != nil {
+					collMu.Lock()
+					coll.Add(ev)
+					collMu.Unlock()
 				}
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
+	wg.Wait()
 
-	// Stage 3: streaming rank + deterministic result assembly. The
-	// collector ingests evaluations as they complete (its total-order
-	// tie-break makes arrival order irrelevant); the ordered Result
-	// slices are restored from enumeration indices after the drain.
-	// Skipped candidates still enter the pool count (AddSkipped) so the
-	// leading-set fraction matches the unpruned run exactly.
-	var done []evalResult
-	skipped := 0
-	for r := range out {
-		// Workers never send a result after observing cancellation, so
-		// everything that arrives here is a complete verdict; under
-		// AllowPartial we keep collecting them (anytime advisory), without
-		// it we discard and keep draining so the workers can exit.
-		if ctx.Err() != nil && !in.AllowPartial {
-			continue
-		}
-		if r.skipped {
-			coll.AddSkipped()
-			skipped++
-			continue
-		}
-		if r.ev != nil {
-			coll.Add(r.ev)
-		}
-		done = append(done, r)
-	}
-	// `out` is closed: every worker has exited, so done/skipped/preVios/
-	// survivors are final. If the context failed, either fail the run
-	// (default) or degrade gracefully into a partial Result (AllowPartial).
+	// Every worker has exited, so results are final. If the context
+	// failed, either fail the run (default) or degrade gracefully into a
+	// partial Result (AllowPartial): every verdict recorded is complete,
+	// so the collector holds exactly the candidates that finished.
 	ctxErr := ctx.Err()
 	if ctxErr != nil && !in.AllowPartial {
 		return nil, ctxErr
@@ -364,12 +282,19 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 		res.Timings.Rank = time.Since(rankStart)
 		res.Timings.Total = time.Since(start)
 	}()
-	sort.Slice(done, func(i, j int) bool { return done[i].idx < done[j].idx })
 
+	evaluated, skipped := 0, 0
+	for _, r := range results {
+		if r.done {
+			evaluated++
+		} else if r.skipped {
+			skipped++
+		}
+	}
 	res.PruneStats = PruneStats{
 		Enabled:   pruneOn,
-		Survivors: survivors,
-		Evaluated: len(done), // == survivors-skipped on complete runs
+		Survivors: len(survivors),
+		Evaluated: evaluated, // == survivors-skipped on complete runs
 		Skipped:   skipped,
 	}
 	// Coverage accounts for the whole candidate space: everything not
@@ -379,9 +304,9 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 	// 0 exactly when the run was complete — a cancelled run that happened
 	// to finish everything stays Partial=false and bit-identical.
 	res.Coverage = Coverage{
-		Evaluated: len(done),
+		Evaluated: evaluated,
 		Skipped:   skipped,
-		Remaining: maxCands - len(preVios) - len(done) - skipped,
+		Remaining: maxCands - len(preVios) - evaluated - skipped,
 	}
 	res.Partial = in.AllowPartial && ctxErr != nil && res.Coverage.Remaining > 0
 	// Result.Evaluations is canonical: the retained leading set (plus
@@ -391,8 +316,9 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 	// can — so pruned and unpruned runs assemble identical slices.
 	retained := coll.RetainedKeys()
 	res.Excluded = preVios
-	for _, r := range done {
+	for _, r := range results {
 		switch {
+		case !r.done:
 		case r.fault != nil:
 			res.Faults = append(res.Faults, *r.fault)
 		case r.err != nil:
@@ -404,7 +330,7 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 		}
 	}
 	if !res.Partial {
-		if survivors == 0 {
+		if len(survivors) == 0 {
 			return res, fmt.Errorf("%w: all %d candidates excluded by thresholds", ErrNoFeasible, len(res.Excluded))
 		}
 		if len(res.Evaluations) == 0 {

@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"repro/internal/apb"
+	"repro/internal/costmodel"
 	"repro/internal/fragment"
+	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 // apb1Input is the APB-1 preset (scaled to 1M rows so the determinism
@@ -146,5 +149,73 @@ func TestAdviseContextCompletesEqualsAdvise(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fingerprint(got), fingerprint(want)) {
 		t.Fatal("AdviseContext differs from Advise")
+	}
+}
+
+// shardClasses is the size-class count at which the cost model's kernel
+// fill starts borrowing idle workers (2 · costmodel's shardMinClasses).
+const shardClasses = 4096
+
+// TestAdviseShardedParallelismDeterministic drives intra-candidate
+// sharding through the pipeline: on a skewed schema whose last two
+// candidates each have thousands of distinct fragment sizes, the workers
+// that drew the small candidates exit and park their tokens, and the
+// workers still pricing the big ones borrow them. The result must equal
+// the single-worker run, which never shards.
+func TestAdviseShardedParallelismDeterministic(t *testing.T) {
+	s := &schema.Star{
+		Name: "Sharded",
+		Fact: schema.FactTable{Name: "F", Rows: 2_000_000, RowSize: 100},
+		Dimensions: []schema.Dimension{
+			{Name: "Big", SkewTheta: 0.8, Levels: []schema.Level{
+				{Name: "grp", Cardinality: 8},
+				{Name: "id", Cardinality: 8192},
+			}},
+			{Name: "Small", Levels: []schema.Level{
+				{Name: "g", Cardinality: 6},
+			}},
+		},
+	}
+	m, err := workload.RandomMix(s, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(p int) *Input {
+		return &Input{Schema: s, Mix: m, Disk: apb.Disk(8), Parallelism: p,
+			Thresholds: fragment.Thresholds{MaxFragments: 1 << 20}}
+	}
+
+	// Guard: some candidate must cross the sharding threshold, or this
+	// test silently stops covering the borrow path.
+	eval, err := costmodel.NewEvaluator((&Result{Input: mk(1)}).CostModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := 0
+	for _, f := range fragment.Enumerate(s) {
+		g, err := eval.Geometry(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.SizeClasses().NumClasses() >= shardClasses {
+			sharded++
+		}
+	}
+	if sharded == 0 {
+		t.Fatalf("no candidate reaches %d size classes; sharding not exercised", shardClasses)
+	}
+
+	want, err := Advise(mk(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 3; rep++ {
+		got, err := Advise(mk(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fingerprint(got), fingerprint(want)) {
+			t.Fatalf("rep %d: 4 workers differ from 1 worker", rep)
+		}
 	}
 }

@@ -372,9 +372,9 @@ func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
 }
 
 // dimOutcomeSets returns the memoized outcome sets of one dimension plan.
-// Hot-path lookups take the read lock only; misses build outside any lock
-// and the first stored value wins, so every caller sees one canonical
-// (read-only) table per key.
+// Hot-path lookups take the read lock only; a miss builds the table under
+// the write lock after a re-check, so concurrent misses on one key build
+// it once and every caller sees one canonical (read-only) table per key.
 func (e *Evaluator) dimOutcomeSets(dp DimPlan) [][]int {
 	key := outcomeKey{kase: dp.Case, fragCard: dp.FragCard, queryCard: dp.QueryCard}
 	e.outMu.RLock()
@@ -383,14 +383,13 @@ func (e *Evaluator) dimOutcomeSets(dp DimPlan) [][]int {
 	if ok {
 		return sets
 	}
-	sets = dimOutcomes(dp, e.cfg.Mapping)
 	e.outMu.Lock()
-	if old, ok := e.outcomes[key]; ok {
-		sets = old
-	} else {
-		e.outcomes[key] = sets
+	defer e.outMu.Unlock()
+	if sets, ok := e.outcomes[key]; ok {
+		return sets
 	}
-	e.outMu.Unlock()
+	sets = dimOutcomes(dp, e.cfg.Mapping)
+	e.outcomes[key] = sets
 	return sets
 }
 
@@ -614,25 +613,4 @@ func AllocationPages(ev *Evaluation) []int64 {
 	g := ev.Geometry
 	bm := classBitmapPages(nil, g.SizeClasses(), ev.Scheme, g.PageSize)
 	return allocationPages(nil, bm, g)
-}
-
-// EvaluateAll runs the model over a candidate list, skipping candidates
-// that fail (e.g. exceed MaxFragments) and reporting them. The shared
-// state is built once and reused across candidates.
-func EvaluateAll(cfg *Config, cands []*fragment.Fragmentation) (evals []*Evaluation, failures []error) {
-	e, err := NewEvaluator(cfg)
-	if err != nil {
-		failures = append(failures, err)
-		return nil, failures
-	}
-	sc := e.NewScratch(nil)
-	for _, f := range cands {
-		ev, err := e.EvaluateWith(sc, f)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("%s: %w", f.Name(cfg.Schema), err))
-			continue
-		}
-		evals = append(evals, ev)
-	}
-	return evals, failures
 }

@@ -552,24 +552,6 @@ func TestResponseSamplingFallback(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllReportsFailures(t *testing.T) {
-	s := testStar()
-	m := &workload.Mix{Classes: []workload.Class{
-		{Name: "Q", Predicates: []schema.AttrRef{attr(t, s, "A.a2")}, Weight: 1},
-	}}
-	cfg := cfgWith(t, s, m)
-	cfg.MaxFragments = 8 // A.a2 (16 fragments) now fails
-	f16, _ := fragment.Parse(s, "A.a2")
-	f4, _ := fragment.Parse(s, "A.a1")
-	evals, failures := EvaluateAll(cfg, []*fragment.Fragmentation{f16, f4})
-	if len(evals) != 1 || len(failures) != 1 {
-		t.Fatalf("evals=%d failures=%d", len(evals), len(failures))
-	}
-	if evals[0].Frag.Key() != f4.Key() {
-		t.Fatalf("wrong survivor: %s", evals[0].Frag.Key())
-	}
-}
-
 func relDiff(a, b float64) float64 {
 	if a == b {
 		return 0

@@ -63,14 +63,14 @@ type sizeClassCost struct {
 const shardMinClasses = 2048
 
 // Sharder coordinates intra-candidate parallelism with the pipeline's
-// idle capacity. Pipeline workers Park a token while they block waiting
-// for work and Unpark one when work arrives; a worker pricing a candidate
-// with a huge size-class table borrows parked tokens and splits the
-// kernel fill across that many extra goroutines. Tokens therefore track
-// truly idle workers: total running goroutines never exceed the worker count,
-// and a worker woken while its token is borrowed simply waits for the
-// sharded fill to return it. A nil *Sharder disables sharing (every
-// method is nil-safe), which is what single-worker pipelines use.
+// idle capacity. A pipeline worker Parks its token as it exits, once the
+// candidate cursor has run dry; a worker still pricing a candidate with
+// a huge size-class table borrows parked tokens and splits the kernel
+// fill across that many extra goroutines. Tokens therefore track exited
+// workers only: a running worker holds no parked token, so total running
+// goroutines never exceed the worker count. A nil *Sharder disables
+// sharing (every method is nil-safe), which is what single-worker
+// pipelines use.
 type Sharder struct {
 	tokens chan struct{}
 }
@@ -84,22 +84,11 @@ func NewSharder(workers int) *Sharder {
 	return &Sharder{tokens: make(chan struct{}, workers)}
 }
 
-// Park deposits the calling worker's CPU slot for borrowing. Call
-// immediately before blocking on the work channel.
+// Park deposits the calling worker's CPU slot for borrowing. Call as the
+// worker exits: an exited worker is permanently idle capacity.
 func (s *Sharder) Park() {
 	if s != nil {
 		s.tokens <- struct{}{}
-	}
-}
-
-// Unpark reclaims a CPU slot after receiving work. If every slot is
-// currently borrowed by a sharded kernel fill, Unpark waits for one to be
-// returned — the woken worker must not add parallelism the machine does
-// not have. A worker that exits instead of unparking leaves its token
-// parked: an exited worker is permanently idle capacity.
-func (s *Sharder) Unpark() {
-	if s != nil {
-		<-s.tokens
 	}
 }
 

@@ -374,10 +374,12 @@ func shardedStar() *schema.Star {
 }
 
 // TestScratchSharderRace hammers worker-owned scratch reuse and the
-// intra-candidate sharded kernel fill under the pipeline's exact token
-// protocol (park before blocking on work, unpark after receiving), and
-// asserts every concurrent evaluation is bit-identical to the serial one.
-// Run with -race this doubles as the memory-safety proof of the Sharder.
+// intra-candidate sharded kernel fill under the pipeline's token
+// protocol (a worker parks its token as it exits; here the exited
+// workers' tokens are parked up front, so the active workers can borrow
+// them from the first candidate on), and asserts every concurrent
+// evaluation is bit-identical to the serial one. Run with -race this
+// doubles as the memory-safety proof of the Sharder.
 func TestScratchSharderRace(t *testing.T) {
 	s := shardedStar()
 	m, err := workload.RandomMix(s, 4, 11)
@@ -416,22 +418,20 @@ func TestScratchSharderRace(t *testing.T) {
 		want[f.Key()] = costs{ev.AccessCost, ev.ResponseTime}
 	}
 
-	const workers, reps = 4, 8
+	const workers, active, reps = 4, 2, 8
 	sharder := NewSharder(workers)
+	for i := active; i < workers; i++ {
+		sharder.Park()
+	}
 	work := make(chan *fragment.Fragmentation)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < active; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer sharder.Park()
 			sc := e.NewScratch(sharder)
-			for {
-				sharder.Park()
-				f, ok := <-work
-				if !ok {
-					return
-				}
-				sharder.Unpark()
+			for f := range work {
 				ev, err := e.EvaluateWith(sc, f)
 				if err != nil {
 					t.Errorf("%s: %v", f.Name(s), err)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -41,6 +42,22 @@ var (
 // scheme (§2).
 type Fragmentation struct {
 	attrs []schema.AttrRef
+	key   string // Key(), rendered once at construction
+}
+
+// newFragmentation wraps attributes already sorted by dimension index and
+// renders the canonical key once.
+func newFragmentation(attrs []schema.AttrRef) *Fragmentation {
+	var b []byte
+	for i, a := range attrs {
+		if i > 0 {
+			b = append(b, '|')
+		}
+		b = strconv.AppendInt(b, int64(a.Dim), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(a.Level), 10)
+	}
+	return &Fragmentation{attrs: attrs, key: string(b)}
 }
 
 // New builds a fragmentation from the given attributes, validating against
@@ -59,7 +76,7 @@ func New(s *schema.Star, attrs ...schema.AttrRef) (*Fragmentation, error) {
 			return nil, fmt.Errorf("%w (dimension %q)", ErrDuplicateDim, s.Dimensions[a.Dim].Name)
 		}
 	}
-	return &Fragmentation{attrs: cp}, nil
+	return newFragmentation(cp), nil
 }
 
 // MustNew is New but panics on error; for statically known inputs.
@@ -124,13 +141,7 @@ func (f *Fragmentation) Name(s *schema.Star) string {
 
 // Key returns a canonical comparable identity for the fragmentation,
 // independent of the schema ("0:4|2:2" = dim 0 level 4, dim 2 level 2).
-func (f *Fragmentation) Key() string {
-	parts := make([]string, len(f.attrs))
-	for i, a := range f.attrs {
-		parts[i] = fmt.Sprintf("%d:%d", a.Dim, a.Level)
-	}
-	return strings.Join(parts, "|")
-}
+func (f *Fragmentation) Key() string { return f.key }
 
 // FragmentID maps a value combination (one value index per fragmentation
 // attribute, in Attrs() order) to the fragment's position in logical

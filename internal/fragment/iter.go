@@ -37,7 +37,7 @@ func EnumerateSeq(s *schema.Star) iter.Seq[*Fragmentation] {
 					attrs = append(attrs, schema.AttrRef{Dim: d, Level: c - 1})
 				}
 			}
-			if len(attrs) > 0 && !yield(&Fragmentation{attrs: attrs}) {
+			if len(attrs) > 0 && !yield(newFragmentation(attrs)) {
 				return
 			}
 			// Advance the mixed-radix choice vector.

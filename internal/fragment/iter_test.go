@@ -1,9 +1,13 @@
 package fragment
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/apb"
+	"repro/internal/schema"
 )
 
 func TestEnumerationSize(t *testing.T) {
@@ -74,5 +78,43 @@ func TestEnumerateFilteredSeqMatchesSlices(t *testing.T) {
 	}
 	if k != len(kept) || x != len(excluded) {
 		t.Fatalf("streamed %d/%d, slices %d/%d", k, x, len(kept), len(excluded))
+	}
+}
+
+// TestKeyStoredAtConstruction: the key rendered once at construction
+// equals the Sprintf/Join form it replaced, for every APB-1 candidate,
+// whether it comes from enumeration, New or Parse.
+func TestKeyStoredAtConstruction(t *testing.T) {
+	s := apb.Schema(1_000_000)
+	reference := func(f *Fragmentation) string {
+		parts := make([]string, len(f.Attrs()))
+		for i, a := range f.Attrs() {
+			parts[i] = fmt.Sprintf("%d:%d", a.Dim, a.Level)
+		}
+		return strings.Join(parts, "|")
+	}
+	cands := Enumerate(s)
+	for _, f := range cands {
+		want := reference(f)
+		if got := f.Key(); got != want {
+			t.Fatalf("enumerated %s: Key %q, want %q", f.Name(s), got, want)
+		}
+		// New normalizes attribute order, so feed it the attributes
+		// reversed; Parse goes through the "Dim.level" names.
+		attrs := append([]schema.AttrRef(nil), f.Attrs()...)
+		slices.Reverse(attrs)
+		if got := MustNew(s, attrs...).Key(); got != want {
+			t.Fatalf("New %s: Key %q, want %q", f.Name(s), got, want)
+		}
+		p, err := Parse(s, strings.Split(f.Name(s), " x ")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Key(); got != want {
+			t.Fatalf("Parse %s: Key %q, want %q", f.Name(s), got, want)
+		}
+	}
+	if len(cands) != 167 {
+		t.Fatalf("checked %d candidates, want 167", len(cands))
 	}
 }

@@ -75,7 +75,7 @@ type Collector struct {
 	h       evalHeap
 	// cutoff is the published admission threshold: a snapshot of the
 	// heap's worst retained tuple once the heap is full. It is written
-	// only by Add (the pipeline's single collection goroutine) and read
+	// only by Add (the pipeline serializes Add calls) and read
 	// lock-free by the evaluation workers deciding whether a candidate's
 	// lower bound can still beat the retained set — the atomic pointer
 	// makes those cross-goroutine reads race-free.
@@ -170,7 +170,7 @@ func (c *Collector) AddSkipped() {
 
 // Cutoff returns the latest published admission threshold. ok is false
 // until the bounded heap first fills (or always, for unbounded
-// collectors). Safe for concurrent use with Add from one goroutine.
+// collectors). Safe for concurrent use with serialized Add calls.
 func (c *Collector) Cutoff() (Cutoff, bool) {
 	if p := c.cutoff.Load(); p != nil {
 		return *p, true

@@ -26,8 +26,8 @@
 //
 // # Concurrency
 //
-// The prediction layer runs as a concurrent streaming pipeline: lazy
-// candidate enumeration, threshold pruning, a branch-and-bound stage
+// The prediction layer runs as one evaluation loop: candidate
+// enumeration and threshold pruning, a branch-and-bound stage
 // that skips candidates whose admissible cost lower bound proves they
 // cannot enter the retained set (Result.PruneStats reports the split;
 // Input.DisablePruning turns it off for A/B runs), a pool of cost-model
@@ -35,7 +35,7 @@
 // the worker count (<= 0 uses GOMAXPROCS); results are bit-for-bit
 // identical for every value and with pruning on or off, so both knobs
 // trade wall-clock time only. Advisor.Advise honours its context: on
-// cancellation the pipeline drains cleanly and the context's error is
+// cancellation the workers stop cleanly and the context's error is
 // returned.
 //
 // # Robustness
