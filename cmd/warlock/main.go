@@ -140,11 +140,16 @@ func run(ctx context.Context, args []string) (err error) {
 		return err
 	}
 	fmt.Print(analysis.Report(res))
+	// The evaluated/skipped split depends on worker scheduling, so the
+	// prune statistics go to stderr and stdout stays byte-stable. The
+	// blank line separating them from the report stays on stdout, so a
+	// terminal still shows one between the two.
+	fmt.Println()
 	if ps := res.PruneStats; ps.Enabled {
-		fmt.Printf("\npruning: %d survivors, %d evaluated, %d skipped by lower bound (%.1f%%)\n",
+		fmt.Fprintf(os.Stderr, "pruning: %d survivors, %d evaluated, %d skipped by lower bound (%.1f%%)\n",
 			ps.Survivors, ps.Evaluated, ps.Skipped, pct(ps.Skipped, ps.Survivors))
 	} else {
-		fmt.Printf("\npruning: disabled (%d candidates evaluated)\n", ps.Evaluated)
+		fmt.Fprintf(os.Stderr, "pruning: disabled (%d candidates evaluated)\n", ps.Evaluated)
 	}
 
 	if *profileClass >= 0 {
@@ -219,7 +224,7 @@ func runSweep(ctx context.Context, path, jsonPath string, workers int) error {
 	}
 	fmt.Printf("sweep: %d scenarios (shared-state pipeline)\n", len(rep.Scenarios))
 	if total := rep.PruneEvaluated + rep.PruneSkipped; total > 0 {
-		fmt.Printf("pruning: %d candidates evaluated, %d skipped by lower bound (%.1f%%)\n",
+		fmt.Fprintf(os.Stderr, "pruning: %d candidates evaluated, %d skipped by lower bound (%.1f%%)\n",
 			rep.PruneEvaluated, rep.PruneSkipped, pct(rep.PruneSkipped, total))
 	}
 	fmt.Println()

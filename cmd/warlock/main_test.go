@@ -283,6 +283,13 @@ func TestRunParallelismFlagDeterministic(t *testing.T) {
 	if serial != parallel {
 		t.Fatal("-parallelism changed the report output")
 	}
+	// The prune statistics depend on worker scheduling, so they must
+	// stay off stdout.
+	for _, out := range []string{serial, parallel} {
+		if strings.Contains(out, "pruning:") {
+			t.Fatal("stdout carries the schedule-dependent pruning line")
+		}
+	}
 }
 
 func TestRunProfilingFlags(t *testing.T) {

@@ -56,15 +56,13 @@
 // added to it — visiting fragments in the same order as a per-hit id
 // computation, so every busy-time sum is unchanged. Around the kernel,
 // core's pipeline enumerates the surviving candidates into a slice and
-// its workers claim them one at a time from a shared atomic cursor, each
+// its workers claim them one at a time from a shared atomic cursor; each
 // worker owns its evaluation scratch for its whole lifetime (no pool
-// contention, no cross-CPU buffer migration), and a worker that runs out
-// of candidates parks a capacity token as it exits, which a worker
-// pricing a huge candidate borrows to shard the kernel fill
-// (costmodel.Sharder) — so a few giant candidates do not serialize the
-// tail of a run. Every per-candidate computation is
-// pure and deterministically seeded; Input.Parallelism changes wall-clock
-// time only.
+// contention, no cross-CPU buffer migration) and prices every candidate
+// it claims on its own, so the workers are the only goroutines an
+// advisory starts. Every per-candidate computation is pure and
+// deterministically seeded; Input.Parallelism changes wall-clock time
+// only.
 // bench_test.go in this directory hosts one benchmark per experiment in
 // EXPERIMENTS.md; cmd/warlock-bench regenerates the experiment tables.
 package repro

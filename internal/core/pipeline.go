@@ -34,7 +34,7 @@ import (
 // against the heap's published admission cutoff and skips the
 // evaluation of provable losers.
 //
-// The evaluation stage is organized for throughput on three levels:
+// The evaluation stage is organized for throughput on two levels:
 //
 //   - Size-class kernel: the evaluator prices each distinct fragment
 //     (rows, pages) size once per query class and folds the results per
@@ -43,19 +43,14 @@ import (
 //   - Per-worker scratch + cursor dispatch: every worker owns one
 //     costmodel.Scratch for its lifetime (buffers are reused and stay
 //     hot in one goroutine), and claiming a candidate costs one atomic
-//     add.
-//   - Intra-candidate sharding: a worker that finds the cursor exhausted
-//     parks its token (costmodel.Sharder) as it exits; a worker still
-//     pricing a candidate with a huge size-class table borrows those
-//     tokens and splits the kernel fill across that many extra
-//     goroutines, so a few giant candidates near the end of the run
-//     do not serialize it.
+//     add. Each candidate is priced by exactly one worker; the workers
+//     are the only goroutines an advisory starts.
 //
 // Every per-candidate computation is pure and deterministically seeded,
 // all ordered outputs are keyed by the candidate's enumeration index, and
 // skipping is only ever applied to candidates that could not have
 // influenced any output, so the Result is bit-for-bit identical for any
-// worker count, sharding, and with pruning on or off — Parallelism and
+// worker count and with pruning on or off — Parallelism and
 // DisablePruning only change wall-clock time (PruneStats records the
 // diagnostic split).
 
@@ -174,11 +169,9 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 	// Stage 2: parallel evaluation + post-evaluation threshold check +
 	// collection. The shared Evaluator is goroutine-safe and every
 	// evaluation is pure, so worker scheduling cannot influence any
-	// result. Each worker owns one Scratch for its lifetime, claims
+	// result. Each worker owns one Scratch for its lifetime and claims
 	// survivors through the shared cursor until it runs dry or the
-	// context fails, and parks its token with the shared Sharder as it
-	// exits: exited workers are the idle capacity intra-candidate
-	// sharding borrows. The collector ingests verdicts as they complete
+	// context fails. The collector ingests verdicts as they complete
 	// (its total-order tie-break makes arrival order irrelevant); Add
 	// and AddSkipped are serialized by collMu, while the workers read
 	// the atomically published admission cutoff lock-free. Skipped
@@ -187,7 +180,6 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 	coll := rank.NewCollector(in.Rank, maxCands)
 	results := make([]evalResult, len(survivors))
 	workers := in.parallelism(len(survivors))
-	sharder := costmodel.NewSharder(workers)
 	var (
 		cursor atomic.Int64
 		collMu sync.Mutex
@@ -197,14 +189,12 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer sharder.Park()
-			sc := eval.NewScratch(sharder)
+			sc := eval.NewScratch(nil)
 			// evalOne prices one candidate with per-candidate panic
 			// isolation: a panic anywhere in the evaluation (including one
-			// forwarded from a sharded kernel fill, or injected through the
-			// FaultEvaluate failpoint) is recovered here, the possibly
-			// half-mutated scratch is discarded, and the candidate surfaces
-			// as a Fault instead of killing the advisory.
+			// injected through the FaultEvaluate failpoint) is recovered
+			// here, the possibly half-mutated scratch is discarded, and the
+			// candidate surfaces as a Fault instead of killing the advisory.
 			evalOne := func(f *fragment.Fragmentation) (r evalResult) {
 				r.done = true
 				defer func() {

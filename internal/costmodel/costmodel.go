@@ -417,7 +417,7 @@ func Ancestor(v, fineCard, coarseCard int, m skew.Mapping) int {
 // supplies the reused cursor/accumulator buffers; sc.rbusy must be
 // all-zero on entry (the pattern evaluation restores the zeros it
 // overwrites).
-func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, cls []sizeClassCost, sampleSeed int64, sc *evalScratch) (float64, bool) {
+func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, cls []sizeClassCost, sampleSeed int64, sc *Scratch) (float64, bool) {
 	outcomes := sc.outs[:len(plan.Dims)]
 	for i, dp := range plan.Dims {
 		outcomes[i] = e.dimOutcomeSets(dp)

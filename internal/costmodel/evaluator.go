@@ -18,9 +18,13 @@ import (
 // that does not depend on the fragmentation candidate — normalized
 // class weights eagerly, the skew-aggregated share vector of each
 // dimension attribute memoized on first use. A single Evaluator prices
-// many candidates; Evaluate is pure (no shared mutable state,
-// deterministically seeded sampling), so one Evaluator may be used from
-// any number of goroutines concurrently.
+// many candidates, and one Evaluator may be used from any number of
+// goroutines concurrently. Its only shared mutable state is memoized:
+// share vectors are built under sync.OnceValues (or the shared Cache),
+// outcome tables under outMu, the lower-bound tables under boundOnce and
+// their floor memo under floorMu; every memoized value is read-only once
+// built. Sampling is deterministically seeded, so every Evaluate call
+// prices a candidate identically whatever runs beside it.
 type Evaluator struct {
 	cfg *Config
 	// weights are the normalized class weights, in mix order.
@@ -147,11 +151,11 @@ func (e *Evaluator) Evaluate(f *fragment.Fragmentation) (*Evaluation, error) {
 // identical results, and the buffers are reused across calls. The
 // Scratch must not be shared between goroutines concurrently.
 func (e *Evaluator) EvaluateWith(sc *Scratch, f *fragment.Fragmentation) (*Evaluation, error) {
-	sc.es.resize(e.cfg.Disk.Disks, len(f.Attrs()), len(e.cfg.Mix.Classes))
-	return e.evaluate(f, sc.es)
+	sc.resize(e.cfg.Disk.Disks, len(f.Attrs()), len(e.cfg.Mix.Classes))
+	return e.evaluate(f, sc)
 }
 
-func (e *Evaluator) evaluate(f *fragment.Fragmentation, sc *evalScratch) (*Evaluation, error) {
+func (e *Evaluator) evaluate(f *fragment.Fragmentation, sc *Scratch) (*Evaluation, error) {
 	g, err := e.Geometry(f)
 	if err != nil {
 		return nil, err
@@ -163,7 +167,7 @@ func (e *Evaluator) evaluate(f *fragment.Fragmentation, sc *evalScratch) (*Evalu
 	return e.evaluateWithGeometry(f, g, scheme, sc)
 }
 
-func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.Geometry, scheme *bitmap.Scheme, sc *evalScratch) (*Evaluation, error) {
+func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.Geometry, scheme *bitmap.Scheme, sc *Scratch) (*Evaluation, error) {
 	cfg := e.cfg
 	ev := &Evaluation{Frag: f, Geometry: g, Scheme: scheme}
 	ev.BitmapPagesTotal = scheme.SchemePages(g)
@@ -214,7 +218,7 @@ func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.
 }
 
 // evaluateClass computes the ClassCost of one class.
-func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometry, pl *alloc.Placement, plan *ClassPlan, factGranule, bmGranule int, sc *evalScratch) ClassCost {
+func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometry, pl *alloc.Placement, plan *ClassPlan, factGranule, bmGranule int, sc *Scratch) ClassCost {
 	c := plan.Class
 	cc := ClassCost{Class: c, DiskBusy: make([]time.Duration, pl.Disks)}
 	cc.HitProb = plan.HitProb

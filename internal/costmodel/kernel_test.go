@@ -355,12 +355,13 @@ func FuzzDimOutcomes(f *testing.F) {
 	})
 }
 
-// shardedStar is a schema whose fragmented geometry has enough distinct
-// fragment sizes (a heavily skewed high-cardinality dimension: every value
-// gets a distinct share) to clear the kernel's sharding threshold.
-func shardedStar() *schema.Star {
+// skewedStar is a schema whose fragmented geometry has thousands of
+// distinct fragment sizes (a heavily skewed high-cardinality dimension:
+// every value gets a distinct share), the regime where the size-class
+// table is largest.
+func skewedStar() *schema.Star {
 	return &schema.Star{
-		Name: "Sharded",
+		Name: "Skewed",
 		Fact: schema.FactTable{Name: "F", Rows: 2_000_000, RowSize: 100},
 		Dimensions: []schema.Dimension{
 			{Name: "Big", SkewTheta: 0.8, Levels: []schema.Level{
@@ -373,15 +374,13 @@ func shardedStar() *schema.Star {
 	}
 }
 
-// TestScratchSharderRace hammers worker-owned scratch reuse and the
-// intra-candidate sharded kernel fill under the pipeline's token
-// protocol (a worker parks its token as it exits; here the exited
-// workers' tokens are parked up front, so the active workers can borrow
-// them from the first candidate on), and asserts every concurrent
-// evaluation is bit-identical to the serial one. Run with -race this
-// doubles as the memory-safety proof of the Sharder.
-func TestScratchSharderRace(t *testing.T) {
-	s := shardedStar()
+// TestScratchReuseRace hammers worker-owned scratch reuse on a shared
+// Evaluator: two workers each price every candidate of the skewed schema
+// repeatedly through their own Scratch, and every concurrent evaluation
+// must be bit-identical to the serial one. Run with -race this doubles as
+// the memory-safety proof of the Evaluator's shared memos.
+func TestScratchReuseRace(t *testing.T) {
+	s := skewedStar()
 	m, err := workload.RandomMix(s, 4, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -391,22 +390,6 @@ func TestScratchSharderRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := fragment.Enumerate(s)
-
-	// Guard: the big candidates must actually cross the sharding
-	// threshold, or this test silently stops covering the borrow path.
-	sharded := 0
-	for _, f := range cands {
-		g, err := e.Geometry(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.SizeClasses().NumClasses() >= 2*shardMinClasses {
-			sharded++
-		}
-	}
-	if sharded == 0 {
-		t.Fatalf("no candidate reaches %d size classes; sharded fill not exercised", 2*shardMinClasses)
-	}
 
 	type costs struct{ access, resp time.Duration }
 	want := make(map[string]costs, len(cands))
@@ -418,19 +401,14 @@ func TestScratchSharderRace(t *testing.T) {
 		want[f.Key()] = costs{ev.AccessCost, ev.ResponseTime}
 	}
 
-	const workers, active, reps = 4, 2, 8
-	sharder := NewSharder(workers)
-	for i := active; i < workers; i++ {
-		sharder.Park()
-	}
+	const workers, reps = 2, 8
 	work := make(chan *fragment.Fragmentation)
 	var wg sync.WaitGroup
-	for w := 0; w < active; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer sharder.Park()
-			sc := e.NewScratch(sharder)
+			sc := e.NewScratch(nil)
 			for f := range work {
 				ev, err := e.EvaluateWith(sc, f)
 				if err != nil {
@@ -451,6 +429,42 @@ func TestScratchSharderRace(t *testing.T) {
 	}
 	close(work)
 	wg.Wait()
+}
+
+// TestPriceSizeClassesAllocationFree pins the kernel fill as a plain
+// loop: once the scratch's cost table has capacity, pricing one class of
+// a candidate allocates nothing (no closure, no goroutine).
+func TestPriceSizeClassesAllocationFree(t *testing.T) {
+	s := apb.Schema(2_000_000)
+	m, err := apb.Mix(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(&Config{Schema: s, Mix: m, Disk: apb.Disk(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fragment.Parse(s, "Product.code")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := e.Evaluate(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz := ev.Geometry.SizeClasses()
+	plan := PlanClass(s, f, ev.Scheme, &m.Classes[0])
+	sc := e.NewScratch(nil)
+	price := func() {
+		e.priceSizeClasses(&plan, ev.Geometry.PageSize, sz, ev.FactPrefetch, ev.BitmapPrefetch, sc)
+	}
+	price()
+	if cap(sc.cls) < sz.NumClasses() {
+		t.Fatalf("cost table capacity %d < %d size classes", cap(sc.cls), sz.NumClasses())
+	}
+	if allocs := testing.AllocsPerRun(100, price); allocs != 0 {
+		t.Fatalf("priceSizeClasses allocated %.1f times per call, want 0", allocs)
+	}
 }
 
 // BenchmarkEvaluateSizeClasses compares the size-class kernel against the
@@ -490,11 +504,11 @@ func BenchmarkEvaluateSizeClasses(b *testing.B) {
 
 	b.Run("kernel", func(b *testing.B) {
 		sc := e.NewScratch(nil)
-		sc.es.resize(ev.Placement.Disks, len(best.Attrs()), len(m.Classes))
+		sc.resize(ev.Placement.Disks, len(best.Attrs()), len(m.Classes))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e.evaluateClass(best, ev.Geometry, ev.Placement, &plan,
-				ev.FactPrefetch, ev.BitmapPrefetch, sc.es)
+				ev.FactPrefetch, ev.BitmapPrefetch, sc)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
@@ -533,7 +547,7 @@ func BenchmarkExpectedMaxResponse(b *testing.B) {
 		b.Fatal(err)
 	}
 	sz := ev.Geometry.SizeClasses()
-	sc := e.NewScratch(nil).es
+	sc := e.NewScratch(nil)
 	sc.resize(ev.Placement.Disks, len(f.Attrs()), len(m.Classes))
 	plans := make([]ClassPlan, len(m.Classes))
 	cls := make([][]sizeClassCost, len(m.Classes))

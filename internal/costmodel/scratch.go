@@ -2,12 +2,16 @@ package costmodel
 
 import "math/rand"
 
-// evalScratch is the per-candidate working set of the evaluation hot
-// path. Nothing in it escapes into an Evaluation (per-class costs and
-// disk profiles are still freshly allocated), so reuse cannot change
-// results; the zeroing discipline is documented at each use site. It is
-// always owned through a Scratch (see there).
-type evalScratch struct {
+// Scratch is the evaluation working set of one goroutine. A pipeline
+// worker creates one Scratch up front and threads it through
+// EvaluateWith for every candidate it prices; plain Evaluate uses a fresh
+// one per call. Nothing in it escapes into an Evaluation (per-class costs
+// and disk profiles are still freshly allocated), so reuse cannot change
+// results; the zeroing discipline is documented at each use site. A
+// Scratch must not be used from two goroutines concurrently; results are
+// bit-identical whether evaluations share a Scratch, use distinct ones,
+// or go through plain Evaluate.
+type Scratch struct {
 	// cls is the size-class cost table of the class currently being
 	// priced (see kernel.go); every entry is overwritten by
 	// priceSizeClasses before use.
@@ -39,20 +43,27 @@ type evalScratch struct {
 	// (candidate, class), it produces exactly the sequence a fresh
 	// rand.New(rand.NewSource(seed)) would.
 	rng *rand.Rand
-	// sharder is the pipeline's idle-worker token pool for intra-candidate
-	// sharding of the kernel fill; nil disables sharding (plain Evaluate
-	// never shards).
-	sharder *Sharder
 }
 
-func newEvalScratch() *evalScratch {
-	return &evalScratch{rng: rand.New(rand.NewSource(0))}
+// NewScratch returns an empty worker-lifetime scratch. Its argument is
+// ignored; it remains only so existing callers passing nil compile.
+func (e *Evaluator) NewScratch(_ any) *Scratch {
+	return &Scratch{rng: rand.New(rand.NewSource(0))}
+}
+
+// Reset discards the scratch's buffers and replaces them with fresh
+// ones. A panic during EvaluateWith may abandon the buffers mid-mutation
+// (half-filled cost tables, dirty accumulators); a pipeline worker that
+// recovers such a panic must Reset before pricing the next candidate so
+// the poisoned state cannot leak into an unrelated evaluation.
+func (s *Scratch) Reset() {
+	*s = Scratch{rng: rand.New(rand.NewSource(0))}
 }
 
 // resize readies the scratch for a candidate with the given disk,
 // attribute and class counts. rbusy is zeroed; busy/idx/choice are zeroed
 // at their use sites; cls is sized by the kernel per class evaluation.
-func (sc *evalScratch) resize(disks, dims, classes int) {
+func (sc *Scratch) resize(disks, dims, classes int) {
 	sc.busy = growFloats(sc.busy, disks)
 	sc.rbusy = growFloats(sc.rbusy, disks)
 	clear(sc.rbusy)
@@ -73,37 +84,6 @@ func (sc *evalScratch) resize(disks, dims, classes int) {
 		sc.plans = make([]ClassPlan, classes)
 	}
 	sc.plans = sc.plans[:classes]
-}
-
-// Scratch is an evaluation working set owned by one goroutine. A
-// pipeline worker creates one Scratch up front and threads it through
-// EvaluateWith for every candidate it prices; plain Evaluate uses a fresh
-// one per call. A Scratch must not be used from two goroutines
-// concurrently; results are bit-identical whether evaluations share a
-// Scratch, use distinct ones, or go through plain Evaluate.
-type Scratch struct {
-	es *evalScratch
-}
-
-// NewScratch returns a worker-lifetime scratch. sharder optionally
-// donates the pipeline's idle-worker tokens to intra-candidate kernel
-// sharding (see Sharder); nil disables sharding.
-func (e *Evaluator) NewScratch(sharder *Sharder) *Scratch {
-	es := newEvalScratch()
-	es.sharder = sharder
-	return &Scratch{es: es}
-}
-
-// Reset discards the scratch's buffers and replaces them with fresh
-// ones, keeping the sharder binding. A panic during EvaluateWith may
-// abandon the buffers mid-mutation (half-filled cost tables, dirty
-// accumulators); a pipeline worker that recovers such a panic must
-// Reset before pricing the next candidate so the poisoned state cannot
-// leak into an unrelated evaluation.
-func (s *Scratch) Reset() {
-	sharder := s.es.sharder
-	s.es = newEvalScratch()
-	s.es.sharder = sharder
 }
 
 func growFloats(s []float64, n int) []float64 {
