@@ -10,7 +10,6 @@ package repro
 
 import (
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
@@ -29,70 +28,6 @@ import (
 )
 
 const benchRows = 1_000_000
-
-// BenchmarkAdvise contrasts the serial and parallel evaluation stage of
-// the streaming advisor pipeline: bit-for-bit identical
-// results, wall-clock divided across the cost-model workers.
-func BenchmarkAdvise(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			in := benchInput(b, 0, 0, 16)
-			in.Parallelism = bc.par
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Advise(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAdvisePruned contrasts the branch-and-bound pruned pipeline
-// with the -no-prune baseline (results are bit-identical; the lower
-// bound only removes full evaluations of provable losers), serial and
-// parallel. It runs at the paper's APB-1 scale (24M rows, 64 disks)
-// where expensive losers dominate the candidate set — at toy scales the
-// admission cutoff rarely tightens past the bound before enumeration
-// ends.
-func BenchmarkAdvisePruned(b *testing.B) {
-	s := apb.Schema(24_000_000)
-	m, err := apb.Mix(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := apb.Disk(64)
-	d.PrefetchPages = 8
-	d.BitmapPrefetchPages = 8
-	for _, bc := range []struct {
-		name    string
-		par     int
-		disable bool
-	}{
-		{"pruned/serial", 1, false},
-		{"pruned/parallel", runtime.GOMAXPROCS(0), false},
-		{"unpruned/serial", 1, true},
-		{"unpruned/parallel", runtime.GOMAXPROCS(0), true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			in := &core.Input{Schema: s, Mix: m, Disk: d, Parallelism: bc.par, DisablePruning: bc.disable}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Advise(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func benchInput(b *testing.B, productTheta, customerTheta float64, disks int) *core.Input {
 	b.Helper()
@@ -367,13 +302,18 @@ func BenchmarkAblationAllocSchemes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sz := g.SizeClasses()
+	pages := make([]int64, len(sz.ClassOf))
+	for v, c := range sz.ClassOf {
+		pages[v] = sz.Pages[c]
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alloc.Allocate(alloc.RoundRobin, g.Pages, 16); err != nil {
+		if _, err := alloc.Allocate(alloc.RoundRobin, pages, 16); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := alloc.Allocate(alloc.GreedySize, g.Pages, 16); err != nil {
+		if _, err := alloc.Allocate(alloc.GreedySize, pages, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

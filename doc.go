@@ -39,9 +39,10 @@
 //
 // Candidate pricing is organized so the advisor scales with cores without
 // ever changing a bit of output. The evaluation hot path runs on a
-// size-class cost kernel: each candidate geometry's fragments are grouped
-// once into distinct (rows, pages) size classes (fragment.SizeClasses),
-// the transcendental-heavy per-fragment cost math (Cardenas' formula,
+// size-class cost kernel: a candidate geometry records its fragment sizes
+// only as distinct (rows, pages) size classes (fragment.SizeClasses),
+// filled in the one pass that sizes the fragments; the
+// transcendental-heavy per-fragment cost math (Cardenas' formula,
 // service times) is computed once per (query class, size class), and the
 // per-fragment accumulation folds the precomputed addends in exact
 // logical fragment order — bit-identical to the naive loop it replaced

@@ -15,18 +15,20 @@ import (
 
 // naiveIndexBytes is the per-fragment reference for bitmap.IndexBytes.
 func naiveIndexBytes(ix bitmap.Index, g *fragment.Geometry) int64 {
+	sz := g.SizeClasses()
 	var total int64
-	for _, rows := range g.Rows {
-		total += bitmap.SliceBytesPerFragment(rows) * int64(ix.Slices)
+	for _, c := range sz.ClassOf {
+		total += bitmap.SliceBytesPerFragment(sz.Rows[c]) * int64(ix.Slices)
 	}
 	return total
 }
 
 // naiveIndexPages is the per-fragment reference for bitmap.IndexPages.
 func naiveIndexPages(ix bitmap.Index, g *fragment.Geometry) int64 {
+	sz := g.SizeClasses()
 	var total int64
-	for _, rows := range g.Rows {
-		total += bitmap.PackedPagesPerFragment(rows, ix.Slices, g.PageSize)
+	for _, c := range sz.ClassOf {
+		total += bitmap.PackedPagesPerFragment(sz.Rows[c], ix.Slices, g.PageSize)
 	}
 	return total
 }
@@ -34,11 +36,12 @@ func naiveIndexPages(ix bitmap.Index, g *fragment.Geometry) int64 {
 // naiveAllocationPages is the per-fragment reference for
 // costmodel.AllocationPages: fact pages plus every index's packed pages.
 func naiveAllocationPages(g *fragment.Geometry, sc *bitmap.Scheme) []int64 {
-	out := make([]int64, len(g.Pages))
-	for v := range g.Pages {
-		out[v] = g.Pages[v]
+	sz := g.SizeClasses()
+	out := make([]int64, len(sz.ClassOf))
+	for v, c := range sz.ClassOf {
+		out[v] = sz.Pages[c]
 		for _, ix := range sc.Indexes {
-			out[v] += bitmap.PackedPagesPerFragment(g.Rows[v], ix.Slices, g.PageSize)
+			out[v] += bitmap.PackedPagesPerFragment(sz.Rows[c], ix.Slices, g.PageSize)
 		}
 	}
 	return out

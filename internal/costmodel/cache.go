@@ -24,7 +24,8 @@ import (
 // goroutine-safe; concurrent scenario pipelines may share one Cache.
 // Every cached value is computed by exactly the code path an uncached
 // Evaluator runs, so results are bit-for-bit identical with and without
-// a Cache.
+// a Cache. A geometry is complete when its compute returns and is never
+// written again, so readers need only the Once that publishes it.
 //
 // The cache never evicts: it is meant to be scoped to one sweep (the
 // sweep engine creates a fresh Cache per Run). A cache held across many

@@ -599,9 +599,10 @@ func classBitmapPages(dst []int64, sz *fragment.SizeClasses, scheme *bitmap.Sche
 // allocation weight: fact pages plus the co-located bitmap pages of the
 // fragment's size class (bm, from classBitmapPages).
 func allocationPages(dst, bm []int64, g *fragment.Geometry) []int64 {
-	dst = growInt64s(dst, len(g.Pages))
-	for v, c := range g.SizeClasses().ClassOf {
-		dst[v] = g.Pages[v] + bm[c]
+	sz := g.SizeClasses()
+	dst = growInt64s(dst, len(sz.ClassOf))
+	for v, c := range sz.ClassOf {
+		dst[v] = sz.Pages[c] + bm[c]
 	}
 	return dst
 }

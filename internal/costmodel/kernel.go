@@ -28,10 +28,10 @@ import "repro/internal/fragment"
 // footprint (bitmap.IndexPages) are computed once per class, and only
 // the fan-out of the allocation weights touches every fragment.
 //
-// The passes that still visit every fragment are the geometry (sizes and
-// the size-class table, built once per geometry), the placement (weight
-// fan-out, size CV and the allocator), the fold in evaluateClass and the
-// hit-pattern walk in expectedMaxResponse.
+// The passes that still visit every fragment are the geometry build
+// (sizing and classifying each fragment, then its Stats), the placement
+// (weight fan-out, size CV and the allocator), the fold in evaluateClass
+// and the hit-pattern walk in expectedMaxResponse.
 
 // sizeClassCost is the kernel's output for one (class, size class) pair:
 // the raw fragment I/O plus every HitProb-weighted per-fragment addend of

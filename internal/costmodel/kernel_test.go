@@ -34,9 +34,10 @@ func naiveClassCost(cfg *Config, f *fragment.Fragmentation, g *fragment.Geometry
 	tv := make([]float64, n)
 	busy := make([]float64, pl.Disks)
 	var totalBusy float64
+	sz := g.SizeClasses()
 	for v := int64(0); v < n; v++ {
-		rows := g.Rows[v]
-		b := g.Pages[v]
+		rows := sz.Rows[sz.ClassOf[v]]
+		b := sz.Pages[sz.ClassOf[v]]
 		if b == 0 {
 			continue
 		}

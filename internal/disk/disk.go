@@ -17,7 +17,6 @@ package disk
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -148,41 +147,6 @@ func (p *Params) EffectiveBitmapPrefetch(suggested int) int {
 	}
 	if g < 1 {
 		g = 1
-	}
-	return g
-}
-
-// OptimalPrefetch suggests a prefetch granule for an object whose fragments
-// span fragmentPages pages and of which an expected touchedFraction
-// (0..1] of granules qualifies per query. The heuristic balances
-// positioning overhead against wasted transfer: reading in granules of g
-// pages costs one positioning per touched granule while transferring up to
-// g pages of which only a fraction is useful at high selectivity. The
-// closed-form optimum of the resulting cost function is
-//
-//	g* = sqrt(Positioning/PageTransfer · 1/touchedFraction)
-//
-// clamped to [1, fragmentPages]. For full scans (touchedFraction == 1) this
-// reduces to the classical sqrt(positioning/transfer) streaming granule.
-//
-// This closed form is a quick utility; the advisor itself picks granules
-// by searching the cost model directly (costmodel.Evaluate with
-// PrefetchPages == 0), which correctly handles scan-dominated mixes where
-// bigger granules win outright (see experiment E3).
-func (p *Params) OptimalPrefetch(fragmentPages int64, touchedFraction float64) int {
-	if fragmentPages <= 0 {
-		return 1
-	}
-	if touchedFraction <= 0 || touchedFraction > 1 {
-		touchedFraction = 1
-	}
-	ratio := float64(p.Positioning()) / float64(p.PageTransfer())
-	g := int(math.Sqrt(ratio / touchedFraction))
-	if g < 1 {
-		g = 1
-	}
-	if int64(g) > fragmentPages {
-		g = int(fragmentPages)
 	}
 	return g
 }

@@ -139,34 +139,6 @@ func TestEffectiveBitmapPrefetch(t *testing.T) {
 	}
 }
 
-func TestOptimalPrefetchBounds(t *testing.T) {
-	p := Default2001()
-	if got := p.OptimalPrefetch(0, 1); got != 1 {
-		t.Fatalf("empty fragment: %d", got)
-	}
-	if got := p.OptimalPrefetch(2, 1); got > 2 {
-		t.Fatalf("clamped to fragment: %d", got)
-	}
-	// Full scan: positioning/transfer ≈ 11ms/0.39ms ≈ 28 → g ≈ 5.
-	g := p.OptimalPrefetch(1_000_000, 1)
-	if g < 2 || g > 50 {
-		t.Fatalf("full-scan granule = %d, want a handful of pages", g)
-	}
-	// Higher selectivity (fewer touched granules) → larger granule pays off
-	// less... actually sparser access (smaller fraction) → larger optimum.
-	sparse := p.OptimalPrefetch(1_000_000, 0.01)
-	if sparse <= g {
-		t.Fatalf("sparse access should pick larger granule: %d <= %d", sparse, g)
-	}
-	// Nonsense fraction falls back to full scan.
-	if got := p.OptimalPrefetch(1_000_000, -3); got != g {
-		t.Fatalf("bad fraction fallback: %d != %d", got, g)
-	}
-	if got := p.OptimalPrefetch(1_000_000, 2); got != g {
-		t.Fatalf("fraction>1 fallback: %d != %d", got, g)
-	}
-}
-
 // Property: IOTime is monotonic in page count.
 func TestIOTimeMonotonic(t *testing.T) {
 	p := Default2001()

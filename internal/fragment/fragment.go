@@ -17,10 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/schema"
 	"repro/internal/skew"
@@ -145,7 +145,7 @@ func (f *Fragmentation) Key() string { return f.key }
 
 // FragmentID maps a value combination (one value index per fragmentation
 // attribute, in Attrs() order) to the fragment's position in logical
-// order. Inverse of ValueCombo.
+// order.
 func (f *Fragmentation) FragmentID(s *schema.Star, values []int) int64 {
 	id := int64(0)
 	for i, a := range f.attrs {
@@ -154,119 +154,107 @@ func (f *Fragmentation) FragmentID(s *schema.Star, values []int) int64 {
 	return id
 }
 
-// ValueCombo returns the value combination of the fragment at the given
-// logical position. Inverse of FragmentID.
-func (f *Fragmentation) ValueCombo(s *schema.Star, id int64) []int {
-	vals := make([]int, len(f.attrs))
-	for i := len(f.attrs) - 1; i >= 0; i-- {
-		c := int64(s.Cardinality(f.attrs[i]))
-		vals[i] = int(id % c)
-		id /= c
-	}
-	return vals
-}
-
-// Geometry carries the per-fragment size information of a fragmentation
-// under a (possibly skewed) value distribution: the building block for
-// bitmap sizing, cost prediction, and allocation.
+// Geometry carries the fragment sizes of a fragmentation under a
+// (possibly skewed) value distribution: the building block for bitmap
+// sizing, cost prediction, and allocation. Sizes are stored once, as the
+// size-class table; a geometry is fully built by NewGeometryFromShares and
+// immutable afterwards, so it may be shared across goroutines (see
+// costmodel.Cache).
 type Geometry struct {
 	Frag *Fragmentation
 	// AttrShares holds, per fragmentation attribute (in Attrs() order),
 	// the share of fact rows per attribute value, aggregated from the
 	// dimension's bottom-level distribution.
 	AttrShares [][]float64
-	// Rows and Pages hold per-fragment expected row counts and page
-	// counts in logical fragment order. len == NumFragments.
-	Rows  []float64
-	Pages []int64
-	// TotalPages is the sum over Pages (>= the unfragmented table's pages
-	// due to per-fragment rounding).
+	// TotalPages is the sum of all fragments' pages (>= the unfragmented
+	// table's pages due to per-fragment rounding).
 	TotalPages int64
 	// PageSize used for the computation.
 	PageSize int
 
-	// sizeOnce/size lazily build the fragment size-class table; statsOnce/
-	// stats cache the size summary. Both are derived views of Rows/Pages —
-	// callers must not mutate those slices after first use (no caller does;
-	// geometries are treated as immutable once built and shared across
-	// evaluators via costmodel.Cache).
-	sizeOnce  sync.Once
-	size      *SizeClasses
-	statsOnce sync.Once
-	stats     Stats
+	size  SizeClasses
+	stats Stats
 }
 
-// SizeClasses groups a geometry's fragments into its distinct exact
-// (rows, pages) size pairs. Hierarchical fragmentation yields geometries
-// where huge numbers of fragments share a size — a uniform dimension
-// collapses to a single class — so per-fragment cost arithmetic that
-// depends only on fragment size can be computed once per class and fanned
-// back out over ClassOf (see costmodel's size-class kernel). Classes are
-// numbered by first appearance in logical fragment order, which makes the
-// table deterministic for a given geometry.
+// SizeClasses is a geometry's record of fragment sizes: its fragments
+// grouped into their distinct exact (rows, pages) pairs. Hierarchical
+// fragmentation yields geometries where huge numbers of fragments share a
+// size — a uniform dimension collapses to a single class — so
+// per-fragment cost arithmetic that depends only on fragment size can be
+// computed once per class and fanned back out over ClassOf (see
+// costmodel's size-class kernel). Classes are numbered by first appearance
+// in logical fragment order, which makes the table deterministic for a
+// given geometry.
 type SizeClasses struct {
 	// ClassOf[v] is the size class of fragment v, in logical fragment
 	// order. len == NumFragments.
 	ClassOf []int32
-	// Rows[c] and Pages[c] are the exact per-fragment size of class c —
-	// bit-identical to the Geometry.Rows/Pages entries of every member.
+	// Rows[c] and Pages[c] are the exact expected row count and page
+	// count of every fragment in class c.
 	Rows  []float64
 	Pages []int64
 	// Count[c] is the number of fragments in class c.
 	Count []int64
-	// SumRows is the sum over Geometry.Rows in fragment order (the same
-	// left-to-right accumulation a per-fragment pass produces, cached so
-	// per-candidate consumers stop re-walking all fragments).
+	// SumRows is the sum of all fragments' rows, accumulated in logical
+	// fragment order.
 	SumRows float64
 }
 
 // NumClasses returns the number of distinct size classes.
 func (sz *SizeClasses) NumClasses() int { return len(sz.Rows) }
 
-// SizeClasses returns the geometry's size-class table, building it on
-// first use (goroutine-safe; the table is immutable once built and shared
-// by every evaluator holding the geometry).
-func (g *Geometry) SizeClasses() *SizeClasses {
-	g.sizeOnce.Do(func() {
-		n := len(g.Pages)
-		sz := &SizeClasses{ClassOf: make([]int32, n)}
-		type sizeKey struct {
-			rows  uint64 // math.Float64bits: exact bit-pattern identity
-			pages int64
-		}
-		index := make(map[sizeKey]int32, 64)
-		// Neighbouring fragments usually share a size (the last attribute
-		// varies fastest, and a uniform one keeps the size), so a fragment
-		// equal to its predecessor reuses its class without hashing.
-		var prev sizeKey
-		c := int32(-1)
-		for v := 0; v < n; v++ {
-			sz.SumRows += g.Rows[v]
-			k := sizeKey{rows: math.Float64bits(g.Rows[v]), pages: g.Pages[v]}
-			if c < 0 || k != prev {
-				var ok bool
-				if c, ok = index[k]; !ok {
-					c = int32(len(sz.Rows))
-					index[k] = c
-					sz.Rows = append(sz.Rows, g.Rows[v])
-					sz.Pages = append(sz.Pages, g.Pages[v])
-					sz.Count = append(sz.Count, 0)
-				}
-				prev = k
-			}
-			sz.Count[c]++
-			sz.ClassOf[v] = c
-		}
-		g.size = sz
-	})
-	return g.size
+// sizeKey identifies a size class; rows is compared by bit pattern.
+type sizeKey struct {
+	rows  uint64
+	pages int64
 }
+
+// classifier builds a size-class table one fragment at a time, in
+// logical fragment order.
+type classifier struct {
+	sz    *SizeClasses
+	index map[sizeKey]int32
+	prev  sizeKey
+	c     int32 // class of the previous fragment; -1 before the first
+}
+
+func newClassifier(sz *SizeClasses, n int64) classifier {
+	sz.ClassOf = make([]int32, 0, n)
+	return classifier{sz: sz, index: make(map[sizeKey]int32, 64), c: -1}
+}
+
+// add appends the next fragment's size to the table. Neighbouring
+// fragments usually share a size (the last attribute varies fastest, and
+// a uniform one keeps the size), so a fragment equal to its predecessor
+// reuses its class without hashing.
+func (b *classifier) add(rows float64, pages int64) {
+	sz := b.sz
+	sz.SumRows += rows
+	k := sizeKey{rows: math.Float64bits(rows), pages: pages}
+	if b.c < 0 || k != b.prev {
+		var ok bool
+		if b.c, ok = b.index[k]; !ok {
+			b.c = int32(len(sz.Rows))
+			b.index[k] = b.c
+			sz.Rows = append(sz.Rows, rows)
+			sz.Pages = append(sz.Pages, pages)
+			sz.Count = append(sz.Count, 0)
+		}
+		b.prev = k
+	}
+	sz.Count[b.c]++
+	sz.ClassOf = append(sz.ClassOf, b.c)
+}
+
+// SizeClasses returns the geometry's size-class table. It is shared and
+// must not be modified.
+func (g *Geometry) SizeClasses() *SizeClasses { return &g.size }
 
 // MaxFragmentsDefault bounds candidate materialization; fragmentations
 // above the bound are normally excluded by thresholds first.
 const MaxFragmentsDefault = 4 << 20
 
-// NewGeometry computes per-fragment sizes. Bottom-level skew of each
+// NewGeometry computes the fragment sizes. Bottom-level skew of each
 // dimension is taken from schema.Dimension.SkewTheta and aggregated to the
 // fragmentation level with the given mapping. maxFragments <= 0 uses
 // MaxFragmentsDefault.
@@ -312,38 +300,37 @@ func NewGeometryFromShares(s *schema.Star, f *Fragmentation, pageSize int, share
 		return nil, fmt.Errorf("%w: %d > %d (%s)", ErrTooMany, n, maxFragments, f.Name(s))
 	}
 	g := &Geometry{Frag: f, PageSize: pageSize, AttrShares: shares}
-	g.Rows = make([]float64, n)
-	g.Pages = make([]int64, n)
+	b := newClassifier(&g.size, n)
 	rowSize := float64(s.Fact.RowSize)
 	totalRows := float64(s.Fact.Rows)
 	combo := make([]int, len(f.attrs))
 	for id := int64(0); id < n; id++ {
 		share := 1.0
 		for i := range combo {
-			share *= g.AttrShares[i][combo[i]]
+			share *= shares[i][combo[i]]
 		}
 		rows := totalRows * share
-		g.Rows[id] = rows
 		pages := int64(math.Ceil(rows * rowSize / float64(pageSize)))
 		if pages < 1 && rows > 0 {
 			pages = 1
 		}
-		g.Pages[id] = pages
+		b.add(rows, pages)
 		g.TotalPages += pages
 		// Advance the mixed-radix combination (last attribute fastest).
 		for i := len(combo) - 1; i >= 0; i-- {
 			combo[i]++
-			if combo[i] < len(g.AttrShares[i]) {
+			if combo[i] < len(shares[i]) {
 				break
 			}
 			combo[i] = 0
 		}
 	}
+	g.stats = g.size.stats(g.TotalPages)
 	return g, nil
 }
 
 // NumFragments returns the fragment count of the geometry.
-func (g *Geometry) NumFragments() int64 { return int64(len(g.Pages)) }
+func (g *Geometry) NumFragments() int64 { return int64(len(g.size.ClassOf)) }
 
 // Stats summarises fragment sizes.
 type Stats struct {
@@ -354,36 +341,27 @@ type Stats struct {
 	TotalPages         int64
 }
 
-// Stats computes the size summary of the geometry. The summary is
-// computed once and cached: several pipeline stages (granule search,
-// post-evaluation threshold check, analysis reports) each ask for it per
-// candidate, and the O(fragments) pass is pure.
-func (g *Geometry) Stats() Stats {
-	g.statsOnce.Do(func() { g.stats = g.computeStats() })
-	return g.stats
-}
+// Stats returns the size summary of the geometry, computed when it was
+// built.
+func (g *Geometry) Stats() Stats { return g.stats }
 
-func (g *Geometry) computeStats() Stats {
-	st := Stats{Fragments: g.NumFragments(), TotalPages: g.TotalPages}
+// stats summarises the table. The sums run per fragment in logical order,
+// so AvgPages and CV round exactly as a pass over per-fragment pages does.
+func (sz *SizeClasses) stats(totalPages int64) Stats {
+	st := Stats{Fragments: int64(len(sz.ClassOf)), TotalPages: totalPages}
 	if st.Fragments == 0 {
 		return st
 	}
-	st.MinPages = g.Pages[0]
-	st.MaxPages = g.Pages[0]
+	st.MinPages = slices.Min(sz.Pages)
+	st.MaxPages = slices.Max(sz.Pages)
 	var sum float64
-	for _, p := range g.Pages {
-		if p < st.MinPages {
-			st.MinPages = p
-		}
-		if p > st.MaxPages {
-			st.MaxPages = p
-		}
-		sum += float64(p)
+	for _, c := range sz.ClassOf {
+		sum += float64(sz.Pages[c])
 	}
 	st.AvgPages = sum / float64(st.Fragments)
 	var ss float64
-	for _, p := range g.Pages {
-		d := float64(p) - st.AvgPages
+	for _, c := range sz.ClassOf {
+		d := float64(sz.Pages[c]) - st.AvgPages
 		ss += d * d
 	}
 	if st.AvgPages > 0 {

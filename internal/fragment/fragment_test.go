@@ -120,6 +120,18 @@ func TestNumFragments(t *testing.T) {
 	}
 }
 
+// valueCombo returns the value combination of the fragment at the given
+// logical position: the inverse of FragmentID.
+func valueCombo(f *Fragmentation, s *schema.Star, id int64) []int {
+	vals := make([]int, len(f.attrs))
+	for i := len(f.attrs) - 1; i >= 0; i-- {
+		c := int64(s.Cardinality(f.attrs[i]))
+		vals[i] = int(id % c)
+		id /= c
+	}
+	return vals
+}
+
 func TestFragmentIDRoundTrip(t *testing.T) {
 	s := testStar()
 	f, _ := Parse(s, "Product.line", "Time.quarter", "Channel.channel")
@@ -128,14 +140,14 @@ func TestFragmentIDRoundTrip(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	for id := int64(0); id < n; id++ {
-		vals := f.ValueCombo(s, id)
+		vals := valueCombo(f, s, id)
 		if got := f.FragmentID(s, vals); got != id {
 			t.Fatalf("round trip failed: id=%d vals=%v got=%d", id, vals, got)
 		}
 	}
 	// Logical order: last attribute varies fastest.
-	v0 := f.ValueCombo(s, 0)
-	v1 := f.ValueCombo(s, 1)
+	v0 := valueCombo(f, s, 0)
+	v1 := valueCombo(f, s, 1)
 	if v0[2]+1 != v1[2] || v0[0] != v1[0] || v0[1] != v1[1] {
 		t.Fatalf("logical order wrong: %v then %v", v0, v1)
 	}
@@ -152,9 +164,9 @@ func TestGeometryUniform(t *testing.T) {
 		t.Fatalf("fragments = %d", g.NumFragments())
 	}
 	wantRows := 24_000_000.0 / 24
-	for i, r := range g.Rows {
+	for c, r := range g.SizeClasses().Rows {
 		if math.Abs(r-wantRows) > 1 {
-			t.Fatalf("fragment %d rows = %g, want %g", i, r, wantRows)
+			t.Fatalf("size class %d rows = %g, want %g", c, r, wantRows)
 		}
 	}
 	st := g.Stats()
@@ -188,11 +200,7 @@ func TestGeometrySkewed(t *testing.T) {
 		t.Fatalf("max %d <= min %d under skew", st.MaxPages, st.MinPages)
 	}
 	// Mass conservation: expected rows sum to the fact table rows.
-	var rows float64
-	for _, r := range g.Rows {
-		rows += r
-	}
-	if math.Abs(rows-24_000_000) > 1 {
+	if rows := g.SizeClasses().SumRows; math.Abs(rows-24_000_000) > 1 {
 		t.Fatalf("rows sum = %g", rows)
 	}
 }
@@ -336,7 +344,7 @@ func TestFragmentIDRoundTripProperty(t *testing.T) {
 		c := cands[int(ci)%len(cands)]
 		n := c.NumFragments(s)
 		id := int64(idRaw) % n
-		return c.FragmentID(s, c.ValueCombo(s, id)) == id
+		return c.FragmentID(s, valueCombo(c, s, id)) == id
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -357,11 +365,7 @@ func TestGeometryMassConservation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(s), err)
 		}
-		var rows float64
-		for _, r := range g.Rows {
-			rows += r
-		}
-		if math.Abs(rows-float64(s.Fact.Rows)) > 2 {
+		if rows := g.SizeClasses().SumRows; math.Abs(rows-float64(s.Fact.Rows)) > 2 {
 			t.Fatalf("%s: rows sum %g != %d", f.Name(s), rows, s.Fact.Rows)
 		}
 		if g.TotalPages < s.Fact.Pages(8192) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/schema"
@@ -40,6 +39,7 @@ func TestSizeClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 			sz := g.SizeClasses()
+			rows, pages := denseSizes(tc.star, f, 8192, g.AttrShares)
 			n := int(g.NumFragments())
 			if len(sz.ClassOf) != n {
 				t.Fatalf("ClassOf length %d, want %d", len(sz.ClassOf), n)
@@ -70,11 +70,11 @@ func TestSizeClasses(t *testing.T) {
 					seen[c] = true
 					next++
 				}
-				if sz.Rows[c] != g.Rows[v] || sz.Pages[c] != g.Pages[v] {
+				if sz.Rows[c] != rows[v] || sz.Pages[c] != pages[v] {
 					t.Fatalf("fragment %d: class size (%v,%d) != fragment size (%v,%d)",
-						v, sz.Rows[c], sz.Pages[c], g.Rows[v], g.Pages[v])
+						v, sz.Rows[c], sz.Pages[c], rows[v], pages[v])
 				}
-				sumRows += g.Rows[v]
+				sumRows += rows[v]
 			}
 			for _, c := range sz.Count {
 				total += c
@@ -89,54 +89,20 @@ func TestSizeClasses(t *testing.T) {
 	}
 }
 
-// TestSizeClassesConcurrent verifies the lazy build is goroutine-safe and
-// returns one shared table.
-func TestSizeClassesConcurrent(t *testing.T) {
-	s := testStar()
-	f, err := Parse(s, "Product.family")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGeometry(s, f, 8192, skew.Interleaved, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	tables := make([]*SizeClasses, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tables[i] = g.SizeClasses()
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if tables[i] != tables[0] {
-			t.Fatal("concurrent SizeClasses calls returned distinct tables")
-		}
-	}
-}
-
 // mapSizeClasses is the reference size-class build: one map lookup per
 // fragment, classes numbered by first appearance.
-func mapSizeClasses(g *Geometry) *SizeClasses {
-	type sizeKey struct {
-		rows  uint64
-		pages int64
-	}
-	sz := &SizeClasses{ClassOf: make([]int32, len(g.Pages))}
+func mapSizeClasses(rows []float64, pages []int64) *SizeClasses {
+	sz := &SizeClasses{ClassOf: make([]int32, len(pages))}
 	index := map[sizeKey]int32{}
-	for v := range g.Pages {
-		sz.SumRows += g.Rows[v]
-		k := sizeKey{rows: math.Float64bits(g.Rows[v]), pages: g.Pages[v]}
+	for v := range pages {
+		sz.SumRows += rows[v]
+		k := sizeKey{rows: math.Float64bits(rows[v]), pages: pages[v]}
 		c, ok := index[k]
 		if !ok {
 			c = int32(len(sz.Rows))
 			index[k] = c
-			sz.Rows = append(sz.Rows, g.Rows[v])
-			sz.Pages = append(sz.Pages, g.Pages[v])
+			sz.Rows = append(sz.Rows, rows[v])
+			sz.Pages = append(sz.Pages, pages[v])
 			sz.Count = append(sz.Count, 0)
 		}
 		sz.Count[c]++
@@ -172,7 +138,7 @@ func sameSizeClasses(got, want *SizeClasses) string {
 }
 
 // TestSizeClassesMatchesMapReference pins the run shortcut in
-// Geometry.SizeClasses (a fragment equal to its predecessor skips the map)
+// classifier.add (a fragment equal to its predecessor skips the map)
 // to the map-only build, bit for bit, on inputs that defeat the shortcut
 // and on random geometries with few distinct sizes.
 func TestSizeClassesMatchesMapReference(t *testing.T) {
@@ -211,13 +177,195 @@ func TestSizeClassesMatchesMapReference(t *testing.T) {
 		cases[fmt.Sprintf("random %d", i)] = in
 	}
 	for name, in := range cases {
-		g := &Geometry{Rows: make([]float64, len(in)), Pages: make([]int64, len(in))}
+		rows, pages := make([]float64, len(in)), make([]int64, len(in))
+		var got SizeClasses
+		b := newClassifier(&got, int64(len(in)))
 		for v, s := range in {
-			g.Rows[v], g.Pages[v] = s.rows, s.pages
+			rows[v], pages[v] = s.rows, s.pages
+			b.add(s.rows, s.pages)
 		}
-		want := mapSizeClasses(g)
-		if field := sameSizeClasses(g.SizeClasses(), want); field != "" {
+		if field := sameSizeClasses(&got, mapSizeClasses(rows, pages)); field != "" {
 			t.Errorf("%s: %s differs from the map-only reference", name, field)
 		}
 	}
+}
+
+// denseSizes is the reference fragment sizing: the per-fragment loop the
+// size-class table replaced. Fragment id is decoded into its value
+// combination (last attribute fastest), rows = R·Πshares in attribute
+// order, and pages = ⌈rows·rowSize/pageSize⌉, at least 1 for a fragment
+// with rows.
+func denseSizes(s *schema.Star, f *Fragmentation, pageSize int, shares [][]float64) ([]float64, []int64) {
+	n := f.NumFragments(s)
+	rows, pages := make([]float64, n), make([]int64, n)
+	combo := make([]int, len(shares))
+	for id := int64(0); id < n; id++ {
+		rest := id
+		for i := len(shares) - 1; i >= 0; i-- {
+			combo[i] = int(rest % int64(len(shares[i])))
+			rest /= int64(len(shares[i]))
+		}
+		share := 1.0
+		for i, v := range combo {
+			share *= shares[i][v]
+		}
+		rows[id] = float64(s.Fact.Rows) * share
+		pages[id] = int64(math.Ceil(rows[id] * float64(s.Fact.RowSize) / float64(pageSize)))
+		if pages[id] < 1 && rows[id] > 0 {
+			pages[id] = 1
+		}
+	}
+	return rows, pages
+}
+
+// denseStats is the reference size summary over per-fragment pages.
+func denseStats(pages []int64) Stats {
+	st := Stats{Fragments: int64(len(pages))}
+	if len(pages) == 0 {
+		return st
+	}
+	st.MinPages, st.MaxPages = pages[0], pages[0]
+	var sum float64
+	for _, p := range pages {
+		st.MinPages = min(st.MinPages, p)
+		st.MaxPages = max(st.MaxPages, p)
+		st.TotalPages += p
+		sum += float64(p)
+	}
+	st.AvgPages = sum / float64(len(pages))
+	var ss float64
+	for _, p := range pages {
+		d := float64(p) - st.AvgPages
+		ss += d * d
+	}
+	if st.AvgPages > 0 {
+		st.CV = math.Sqrt(ss/float64(len(pages))) / st.AvgPages
+	}
+	return st
+}
+
+// checkGeometrySizes builds the geometry of f and compares every
+// fragment's size, TotalPages, SumRows and Stats with the dense
+// reference.
+func checkGeometrySizes(t *testing.T, s *schema.Star, f *Fragmentation, pageSize int, mapping skew.Mapping) {
+	t.Helper()
+	g, err := NewGeometry(s, f, pageSize, mapping, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", f.Key(), err)
+	}
+	rows, pages := denseSizes(s, f, pageSize, g.AttrShares)
+	sz := g.SizeClasses()
+	if g.NumFragments() != int64(len(pages)) {
+		t.Fatalf("%s: %d fragments, want %d", f.Key(), g.NumFragments(), len(pages))
+	}
+	var sumRows float64
+	count := make([]int64, sz.NumClasses())
+	for v, c := range sz.ClassOf {
+		if sz.Rows[c] != rows[v] || sz.Pages[c] != pages[v] {
+			t.Fatalf("%s page %d: fragment %d in class %d sized (%v,%d), want (%v,%d)",
+				f.Key(), pageSize, v, c, sz.Rows[c], sz.Pages[c], rows[v], pages[v])
+		}
+		sumRows += rows[v]
+		count[c]++
+	}
+	if !slices.Equal(sz.Count, count) {
+		t.Fatalf("%s page %d: class counts %v, want %v", f.Key(), pageSize, sz.Count, count)
+	}
+	if sz.SumRows != sumRows {
+		t.Fatalf("%s page %d: SumRows %v, want %v", f.Key(), pageSize, sz.SumRows, sumRows)
+	}
+	want := denseStats(pages)
+	if g.TotalPages != want.TotalPages {
+		t.Fatalf("%s page %d: TotalPages %d, want %d", f.Key(), pageSize, g.TotalPages, want.TotalPages)
+	}
+	if got := g.Stats(); got != want {
+		t.Fatalf("%s page %d: Stats %+v, want %+v", f.Key(), pageSize, got, want)
+	}
+}
+
+// randomSizingStar generates a star of 1–4 dimensions with small
+// cardinality ladders; each dimension is uniform or skewed.
+func randomSizingStar(rng *rand.Rand) *schema.Star {
+	s := &schema.Star{Name: "Rnd", Fact: schema.FactTable{Name: "F", RowSize: 1 + rng.Intn(400)}}
+	switch rng.Intn(3) {
+	case 0:
+		s.Fact.Rows = int64(rng.Intn(100)) // includes empty tables and sub-row fragments
+	case 1:
+		s.Fact.Rows = int64(rng.Intn(1_000_000))
+	default:
+		s.Fact.Rows = rng.Int63n(1 << 34)
+	}
+	for d := 0; d < 1+rng.Intn(4); d++ {
+		dim := schema.Dimension{Name: fmt.Sprintf("D%d", d)}
+		card := 1 + rng.Intn(6)
+		for l := 0; l < 1+rng.Intn(3); l++ {
+			dim.Levels = append(dim.Levels, schema.Level{Name: fmt.Sprintf("l%d", l), Cardinality: card})
+			card = min(card*(1+rng.Intn(5)), 200)
+		}
+		if rng.Intn(2) == 0 {
+			dim.SkewTheta = rng.Float64() * 1.5
+		}
+		s.Dimensions = append(s.Dimensions, dim)
+	}
+	return s
+}
+
+// randomSizingFrag picks one random level on up to four random
+// dimensions, possibly none, keeping at most 20,000 fragments.
+func randomSizingFrag(rng *rand.Rand, s *schema.Star) *Fragmentation {
+	var attrs []schema.AttrRef
+	for _, d := range rng.Perm(len(s.Dimensions))[:rng.Intn(len(s.Dimensions)+1)] {
+		attrs = append(attrs, schema.AttrRef{Dim: d, Level: rng.Intn(len(s.Dimensions[d].Levels))})
+	}
+	slices.SortFunc(attrs, func(a, b schema.AttrRef) int { return a.Dim - b.Dim })
+	for len(attrs) > 0 && newFragmentation(attrs).NumFragments(s) > 20_000 {
+		attrs = attrs[1:]
+	}
+	return newFragmentation(attrs)
+}
+
+var sizingPageSizes = []int{1, 8192, 1 << 30}
+
+// TestGeometryMatchesDenseReference pins the size-class geometry to the
+// per-fragment sizing loop on random schemas: uniform and skewed
+// dimensions, both mappings, 0–4 attributes and extreme page sizes.
+func TestGeometryMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 300; trial++ {
+		s := randomSizingStar(rng)
+		f := randomSizingFrag(rng, s)
+		for _, mapping := range []skew.Mapping{skew.Interleaved, skew.Contiguous} {
+			for _, pageSize := range sizingPageSizes {
+				checkGeometrySizes(t, s, f, pageSize, mapping)
+			}
+		}
+	}
+}
+
+// FuzzGeometrySizes is TestGeometryMatchesDenseReference driven by the
+// fuzzer: the seed shapes the schema and fragmentation, the other inputs
+// set the fact rows, the skew of every skewed dimension, the page size
+// and the mapping.
+func FuzzGeometrySizes(f *testing.F) {
+	f.Add(int64(1), int64(24_000_000), 0.86, uint8(1), false)
+	f.Add(int64(2), int64(7), 0.0, uint8(0), true)
+	f.Add(int64(3), int64(1<<40), 1.4, uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed, rows int64, theta float64, page uint8, contiguous bool) {
+		if rows < 0 || rows > 1<<50 || !(theta >= 0 && theta <= 3) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		s := randomSizingStar(rng)
+		s.Fact.Rows = rows
+		for d := range s.Dimensions {
+			if s.Dimensions[d].SkewTheta > 0 {
+				s.Dimensions[d].SkewTheta = theta
+			}
+		}
+		mapping := skew.Interleaved
+		if contiguous {
+			mapping = skew.Contiguous
+		}
+		checkGeometrySizes(t, s, randomSizingFrag(rng, s), sizingPageSizes[int(page)%len(sizingPageSizes)], mapping)
+	})
 }

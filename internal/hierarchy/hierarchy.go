@@ -95,11 +95,4 @@ func (h *Hierarchy) Descendants(fromLevel, v, toLevel int) (lo, hi int) {
 	return lo, hi
 }
 
-// DescendantCount returns the number of descendants of value v (at
-// fromLevel) at toLevel.
-func (h *Hierarchy) DescendantCount(fromLevel, v, toLevel int) int {
-	lo, hi := h.Descendants(fromLevel, v, toLevel)
-	return hi - lo + 1
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -108,7 +108,8 @@ func TestDescendantCountsSum(t *testing.T) {
 		for to := from; to < h.Levels(); to++ {
 			total := 0
 			for v := 0; v < h.Cardinality(from); v++ {
-				total += h.DescendantCount(from, v, to)
+				lo, hi := h.Descendants(from, v, to)
+				total += hi - lo + 1
 			}
 			if total != h.Cardinality(to) {
 				t.Fatalf("descendants %d->%d sum %d != %d", from, to, total, h.Cardinality(to))
@@ -124,7 +125,8 @@ func TestDescendantCountsNearEven(t *testing.T) {
 	for l := 0; l < h.Bottom(); l++ {
 		avg := float64(h.Cardinality(l+1)) / float64(h.Cardinality(l))
 		for v := 0; v < h.Cardinality(l); v++ {
-			n := h.DescendantCount(l, v, l+1)
+			lo, hi := h.Descendants(l, v, l+1)
+			n := hi - lo + 1
 			if float64(n) > 2*avg+1 || float64(n) < avg/2-1 {
 				t.Fatalf("level %d value %d has %d children, avg %.2f", l, v, n, avg)
 			}

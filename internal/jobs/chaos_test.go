@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func transientTest(err error) bool {
 func TestRetryTransientFailure(t *testing.T) {
 	sl := &recordedSleep{}
 	m := newTestManager(t, Config{
-		Retries: 5, RetryBackoff: 10 * time.Millisecond,
+		Retries:   5,
 		Transient: transientTest, sleep: sl.sleep,
 	})
 	attempts := 0
@@ -77,9 +78,7 @@ func TestRetryTransientFailure(t *testing.T) {
 	if got := m.Totals().Retries; got != 2 {
 		t.Fatalf("Totals.Retries = %d, want 2", got)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	got := sl.snapshot()
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+	if got, want := sl.snapshot(), []time.Duration{time.Second, 2 * time.Second}; !slices.Equal(got, want) {
 		t.Fatalf("backoffs = %v, want %v", got, want)
 	}
 }
@@ -89,7 +88,7 @@ func TestRetryTransientFailure(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	sl := &recordedSleep{}
 	m := newTestManager(t, Config{
-		Retries: 3, RetryBackoff: time.Millisecond,
+		Retries:   3,
 		Transient: transientTest, sleep: sl.sleep,
 	})
 	attempts := 0
@@ -112,6 +111,9 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 	if got := m.Totals().Retries; got != 3 {
 		t.Fatalf("Totals.Retries = %d, want 3", got)
+	}
+	if got, want := sl.snapshot(), []time.Duration{time.Second, 2 * time.Second, 4 * time.Second}; !slices.Equal(got, want) {
+		t.Fatalf("backoffs = %v, want %v", got, want)
 	}
 }
 

@@ -67,9 +67,8 @@ var ErrStoreFull = errors.New("jobs: store full, no finished job to evict")
 const (
 	DefaultTTL     = 15 * time.Minute
 	DefaultMaxJobs = 64
-	// DefaultRetryBackoff is the first retry delay when Config.Retries is
-	// set without an explicit backoff; it doubles per attempt, capped at
-	// maxRetryBackoff.
+	// DefaultRetryBackoff is the first retry delay; it doubles per
+	// attempt, capped at maxRetryBackoff.
 	DefaultRetryBackoff = time.Second
 )
 
@@ -97,16 +96,13 @@ type Config struct {
 	// fails for good (<= 0 disables retries). Only errors Transient
 	// classifies as retryable are retried, never cancellations; between
 	// attempts the worker sleeps an exponential backoff starting at
-	// RetryBackoff (doubling per attempt, capped at one minute). Retried
-	// runs re-execute the same Runner with the same Job — checkpoints
+	// DefaultRetryBackoff (doubling per attempt, capped at one minute).
+	// Retried runs re-execute the same Runner with the same Job — checkpoints
 	// recorded by earlier attempts remain visible, so runners that consult
 	// Job.ResumeCheckpoints-style state must be idempotent per key (the
 	// server's runners are: they re-check caches and rewrite checkpoints
 	// keyed by scenario index).
 	Retries int
-	// RetryBackoff is the first retry delay (<= 0 uses
-	// DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// Transient classifies a Runner error as worth retrying. Nil retries
 	// nothing — misclassifying a deterministic failure (bad config, no
 	// feasible candidate) as transient would burn Retries runs to produce
@@ -370,9 +366,6 @@ func New(cfg Config) *Manager {
 	if cfg.MaxRunning <= 0 {
 		cfg.MaxRunning = 1
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -563,7 +556,7 @@ func (m *Manager) runJob(j *Job, run Runner) {
 	// deterministically.
 	for attempt := 0; attempt < m.cfg.Retries && m.retryable(j, err); attempt++ {
 		m.counts(func(t *Totals) { t.Retries++ })
-		backoff := m.cfg.RetryBackoff << attempt
+		backoff := DefaultRetryBackoff << attempt
 		if backoff > maxRetryBackoff || backoff <= 0 { // <= 0: shift overflow
 			backoff = maxRetryBackoff
 		}

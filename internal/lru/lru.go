@@ -80,16 +80,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	return true
 }
 
-// Oldest returns the least recently used entry without removing it.
-func (c *Cache[K, V]) Oldest() (key K, val V, ok bool) {
-	el := c.order.Back()
-	if el == nil {
-		return key, val, false
-	}
-	e := el.Value.(*entry[K, V])
-	return e.key, e.val, true
-}
-
 // Range calls f for every entry from most to least recently used,
 // stopping early when f returns false. The cache must not be mutated
 // during the walk.

@@ -58,26 +58,24 @@ func TestLRUZeroCapacityClamped(t *testing.T) {
 
 func TestLRURemoveAndOldest(t *testing.T) {
 	c := New[string, int](3)
-	if _, _, ok := c.Oldest(); ok {
-		t.Fatal("empty cache has no oldest entry")
-	}
 	c.Add("a", 1)
 	c.Add("b", 2)
 	c.Add("c", 3)
-	if k, v, ok := c.Oldest(); !ok || k != "a" || v != 1 {
-		t.Fatalf("Oldest = %q,%d,%v; want a,1,true", k, v, ok)
-	}
 	if !c.Remove("a") {
 		t.Fatal("Remove(a) should report presence")
 	}
 	if c.Remove("a") {
 		t.Fatal("second Remove(a) should report absence")
 	}
-	if k, _, _ := c.Oldest(); k != "b" {
-		t.Fatalf("after removing a, oldest = %q; want b", k)
-	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d; want 2", c.Len())
+	}
+	// The removed entry frees its slot; b is now the oldest.
+	if _, evicted := c.Add("d", 4); evicted {
+		t.Fatal("insert after Remove must fit without evicting")
+	}
+	if k, evicted := c.Add("e", 5); !evicted || k != "b" {
+		t.Fatalf("evicted %q (%v); want b", k, evicted)
 	}
 }
 

@@ -123,9 +123,6 @@ func (d *Dimension) Validate() error {
 // Bottom returns the finest level of the dimension.
 func (d *Dimension) Bottom() Level { return d.Levels[len(d.Levels)-1] }
 
-// BottomIndex returns the index of the finest level.
-func (d *Dimension) BottomIndex() int { return len(d.Levels) - 1 }
-
 // LevelIndex returns the index of the level with the given attribute name,
 // or an error if no such level exists.
 func (d *Dimension) LevelIndex(name string) (int, error) {

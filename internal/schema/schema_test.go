@@ -219,8 +219,8 @@ func TestFanOut(t *testing.T) {
 func TestBottom(t *testing.T) {
 	s := validStar()
 	d := &s.Dimensions[0]
-	if d.Bottom().Name != "code" || d.BottomIndex() != 5 {
-		t.Fatalf("Bottom = %+v idx=%d", d.Bottom(), d.BottomIndex())
+	if d.Bottom().Name != "code" {
+		t.Fatalf("Bottom = %+v", d.Bottom())
 	}
 }
 

@@ -82,6 +82,7 @@ func (qg *QueryGen) JobForClass(ci int, id int, arrival time.Duration) Job {
 	hitSets := qg.drawHitSets(plan)
 	job := Job{ID: id, Arrival: arrival}
 	g := qg.ev.Geometry
+	sz := g.SizeClasses()
 	d := &qg.cfg.Disk
 	// Enumerate the Cartesian product of per-attribute hit sets.
 	idx := make([]int, len(hitSets))
@@ -91,8 +92,9 @@ func (qg *QueryGen) JobForClass(ci int, id int, arrival time.Duration) Job {
 			vals[i] = hs[idx[i]]
 		}
 		fid := qg.ev.Frag.FragmentID(qg.cfg.Schema, vals)
-		if pages := g.Pages[fid]; pages > 0 {
-			io := costmodel.FragmentCost(plan, g.PageSize, pages, g.Rows[fid], qg.ev.FactPrefetch, qg.ev.BitmapPrefetch)
+		c := sz.ClassOf[fid]
+		if pages := sz.Pages[c]; pages > 0 {
+			io := costmodel.FragmentCost(plan, g.PageSize, pages, sz.Rows[c], qg.ev.FactPrefetch, qg.ev.BitmapPrefetch)
 			svc := time.Duration(io.Seconds(d) * float64(time.Second))
 			if svc > 0 {
 				job.Requests = append(job.Requests, Request{Disk: qg.ev.Placement.DiskOf[fid], Service: svc})

@@ -156,15 +156,10 @@ func Run(disks int, jobs []Job) (Metrics, []time.Duration, error) {
 	return m, responses, nil
 }
 
-// PoissonArrivals returns n arrival times with exponential inter-arrival
-// times of mean 1/ratePerSec, deterministic under the seed.
-func PoissonArrivals(n int, ratePerSec float64, seed int64) ([]time.Duration, error) {
-	return PoissonArrivalsRand(n, ratePerSec, rand.New(rand.NewSource(seed)))
-}
-
-// PoissonArrivalsRand is PoissonArrivals drawing from an explicit source:
-// the caller owns the stream, so composed experiments can share or
-// interleave sources deliberately instead of relying on seed arithmetic.
+// PoissonArrivalsRand returns n arrival times with exponential
+// inter-arrival times of mean 1/ratePerSec, drawn from rng: the caller
+// owns the stream, so composed experiments can share or interleave
+// sources deliberately instead of relying on seed arithmetic.
 func PoissonArrivalsRand(n int, ratePerSec float64, rng *rand.Rand) ([]time.Duration, error) {
 	if n < 0 || ratePerSec <= 0 {
 		return nil, fmt.Errorf("%w: n=%d rate=%g", ErrBadJob, n, ratePerSec)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -157,7 +158,7 @@ func TestApportion(t *testing.T) {
 }
 
 func TestPoissonArrivals(t *testing.T) {
-	a, err := PoissonArrivals(100, 10, 3)
+	a, err := PoissonArrivalsRand(100, 10, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +175,16 @@ func TestPoissonArrivals(t *testing.T) {
 	if mean < 60 || mean > 160 {
 		t.Fatalf("mean inter-arrival = %g ms, want ≈100", mean)
 	}
-	b, _ := PoissonArrivals(100, 10, 3)
+	b, _ := PoissonArrivalsRand(100, 10, rand.New(rand.NewSource(3)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("not deterministic")
 		}
 	}
-	if _, err := PoissonArrivals(-1, 10, 1); !errors.Is(err, ErrBadJob) {
+	if _, err := PoissonArrivalsRand(-1, 10, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBadJob) {
 		t.Fatalf("n<0: %v", err)
 	}
-	if _, err := PoissonArrivals(5, 0, 1); !errors.Is(err, ErrBadJob) {
+	if _, err := PoissonArrivalsRand(5, 0, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBadJob) {
 		t.Fatalf("rate 0: %v", err)
 	}
 }

@@ -169,52 +169,6 @@ func CV(shares []float64) float64 {
 	return math.Sqrt(ss/float64(n)) / mean
 }
 
-// Gini returns the Gini coefficient of the share vector in [0, 1):
-// 0 = perfectly uniform, → 1 = maximally concentrated. Used in skew
-// reports.
-func Gini(shares []float64) float64 {
-	n := len(shares)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), shares...)
-	sort.Float64s(sorted)
-	var cum, total float64
-	for _, s := range sorted {
-		total += s
-	}
-	if total == 0 {
-		return 0
-	}
-	var b float64 // area under the Lorenz curve (trapezoid rule)
-	prev := 0.0
-	for _, s := range sorted {
-		cum += s
-		y := cum / total
-		b += (prev + y) / 2
-		prev = y
-	}
-	b /= float64(n)
-	return 1 - 2*b
-}
-
-// TopShare returns the total share held by the k hottest values.
-func TopShare(shares []float64, k int) float64 {
-	if k <= 0 || len(shares) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), shares...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	var sum float64
-	for _, s := range sorted[:k] {
-		sum += s
-	}
-	return sum
-}
-
 // Sum returns the total of a share vector (should be ≈1 for a valid
 // distribution; exposed for validation and tests).
 func Sum(shares []float64) float64 {

@@ -160,43 +160,6 @@ func TestCV(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if g := Gini(Uniform(100)); g > 0.01 {
-		t.Fatalf("Gini(uniform) = %g, want ~0", g)
-	}
-	if g := Gini(nil); g != 0 {
-		t.Fatalf("Gini(nil) = %g", g)
-	}
-	if g := Gini([]float64{0, 0}); g != 0 {
-		t.Fatalf("Gini(zeros) = %g", g)
-	}
-	g1 := Gini(MustShares(1000, 0.5))
-	g2 := Gini(MustShares(1000, 1.2))
-	if g1 >= g2 {
-		t.Fatalf("Gini should grow with theta: %g >= %g", g1, g2)
-	}
-	if g2 <= 0 || g2 >= 1 {
-		t.Fatalf("Gini out of range: %g", g2)
-	}
-}
-
-func TestTopShare(t *testing.T) {
-	s := MustShares(100, 1)
-	if got := TopShare(s, 0); got != 0 {
-		t.Fatalf("TopShare(0) = %g", got)
-	}
-	if got := TopShare(nil, 5); got != 0 {
-		t.Fatalf("TopShare(nil) = %g", got)
-	}
-	if got := TopShare(s, 1000); !almostEqual(got, 1, 1e-9) {
-		t.Fatalf("TopShare(all) = %g", got)
-	}
-	// 80-20-ish: with theta=1 over 100 values the top 20 hold well over 20%.
-	if got := TopShare(s, 20); got < 0.5 {
-		t.Fatalf("TopShare(20) = %g, want > 0.5", got)
-	}
-}
-
 func TestSamplerBasics(t *testing.T) {
 	s, err := NewSampler([]float64{0.5, 0.3, 0.2})
 	if err != nil {

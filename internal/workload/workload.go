@@ -87,17 +87,6 @@ func (c *Class) Predicate(dim int) (schema.AttrRef, bool) {
 	return schema.AttrRef{}, false
 }
 
-// Selectivity returns the fraction of fact rows the class qualifies under
-// uniform value distribution: the product of 1/cardinality over all
-// referenced attributes.
-func (c *Class) Selectivity(s *schema.Star) float64 {
-	sel := 1.0
-	for _, p := range c.Predicates {
-		sel /= float64(s.Cardinality(p))
-	}
-	return sel
-}
-
 // Describe renders the class as "Name(Dim.level & Dim.level, w=weight)".
 func (c *Class) Describe(s *schema.Star) string {
 	var b strings.Builder
@@ -180,25 +169,6 @@ func (m *Mix) ReferencedDims() []int {
 		out = append(out, d)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// DimReferenceWeight returns, per dimension index, the normalized workload
-// weight of classes referencing it. Useful in reports ("how query-relevant
-// is each dimension?").
-func (m *Mix) DimReferenceWeight(numDims int) []float64 {
-	out := make([]float64, numDims)
-	t := m.TotalWeight()
-	if t == 0 {
-		return out
-	}
-	for _, c := range m.Classes {
-		for _, p := range c.Predicates {
-			if p.Dim >= 0 && p.Dim < numDims {
-				out[p.Dim] += c.Weight / t
-			}
-		}
-	}
 	return out
 }
 

@@ -120,16 +120,6 @@ func TestPredicateLookup(t *testing.T) {
 	}
 }
 
-func TestSelectivity(t *testing.T) {
-	s := testStar()
-	m := testMix(t, s)
-	// Q1: Product.class (605) & Time.month (24).
-	want := 1.0 / (605.0 * 24.0)
-	if got := m.Classes[0].Selectivity(s); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("Selectivity = %g, want %g", got, want)
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	s := testStar()
 	m := testMix(t, s)
@@ -181,23 +171,6 @@ func TestReferencedDims(t *testing.T) {
 	got := m.ReferencedDims()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("ReferencedDims = %v", got)
-	}
-}
-
-func TestDimReferenceWeight(t *testing.T) {
-	s := testStar()
-	m := testMix(t, s)
-	w := m.DimReferenceWeight(3)
-	// Product referenced by Q1 (3) and Q3 (2) → 5/6.
-	if math.Abs(w[0]-5.0/6) > 1e-12 {
-		t.Fatalf("w[Product] = %g", w[0])
-	}
-	// Time referenced by Q1 (3) and Q2 (1) → 4/6.
-	if math.Abs(w[1]-4.0/6) > 1e-12 {
-		t.Fatalf("w[Time] = %g", w[1])
-	}
-	if w := (&Mix{}).DimReferenceWeight(3); w[0] != 0 {
-		t.Fatalf("empty mix dim weight = %v", w)
 	}
 }
 
