@@ -49,13 +49,19 @@
 // and O(distinct sizes) instead of O(fragments). The granule search, the
 // branch-and-bound floor, the bitmap footprint and the co-located bitmap
 // pages of the allocation weights share the same dedup; the passes that
-// still visit every fragment are the geometry, the placement, the fold
-// and the hit-pattern walk. The response-time
-// expectation builds each dimension's outcome table in one O(values)
-// pass and walks every hit pattern by stride — an odometer over the outer
+// still visit every fragment are the geometry, the placement and the
+// fold, and the hit-pattern walk visits every hit fragment of each
+// pattern it evaluates. The response-time expectation builds each
+// dimension's outcome table in one O(values) pass and evaluates a hit
+// pattern by stride — an odometer over the outer
 // dimensions carries the fragment-id prefix and the innermost values are
 // added to it — visiting fragments in the same order as a per-hit id
-// computation, so every busy-time sum is unchanged. Around the kernel,
+// computation, so every busy-time sum is unchanged. Under round-robin
+// placement, patterns that only relabel the disks (one dimension's hit
+// set shifted, with bit-equal shares along it) have the same maximum, so
+// the walk evaluates one pattern per group and adds the stored value
+// once per pattern, in order: the same sum, bit for bit. Greedy
+// placements are walked pattern by pattern. Around the kernel,
 // core's pipeline enumerates the surviving candidates into a slice and
 // its workers claim them one at a time from a shared atomic cursor; each
 // worker owns its evaluation scratch for its whole lifetime (no pool

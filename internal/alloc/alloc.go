@@ -236,29 +236,3 @@ func (p *Placement) FitsCapacity(capacityPages int64) bool {
 	}
 	return true
 }
-
-// FragmentsOn returns the fragment indices placed on the given disk, in
-// logical order.
-func (p *Placement) FragmentsOn(disk int) []int {
-	var out []int
-	for i, d := range p.DiskOf {
-		if d == disk {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// AccessProfile aggregates arbitrary per-fragment weights (e.g. expected
-// I/O time of a query class) into per-disk totals — the "disk access
-// profile per query class" of the analysis layer (§3.3).
-func (p *Placement) AccessProfile(weight []float64) []float64 {
-	out := make([]float64, p.Disks)
-	for i, w := range weight {
-		if i >= len(p.DiskOf) {
-			break
-		}
-		out[p.DiskOf[i]] += w
-	}
-	return out
-}

@@ -159,30 +159,6 @@ func TestFitsCapacity(t *testing.T) {
 	}
 }
 
-func TestFragmentsOn(t *testing.T) {
-	pl, _ := Allocate(RoundRobin, []int64{1, 1, 1, 1, 1}, 2)
-	got := pl.FragmentsOn(0)
-	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("FragmentsOn(0) = %v", got)
-	}
-	if got := pl.FragmentsOn(7); got != nil {
-		t.Fatalf("FragmentsOn(7) = %v", got)
-	}
-}
-
-func TestAccessProfile(t *testing.T) {
-	pl, _ := Allocate(RoundRobin, []int64{1, 1, 1, 1}, 2)
-	prof := pl.AccessProfile([]float64{1, 2, 3, 4})
-	if prof[0] != 4 || prof[1] != 6 {
-		t.Fatalf("AccessProfile = %v", prof)
-	}
-	// Shorter weight vector is tolerated.
-	prof = pl.AccessProfile([]float64{5})
-	if prof[0] != 5 || prof[1] != 0 {
-		t.Fatalf("short profile = %v", prof)
-	}
-}
-
 // Property: both schemes conserve mass and produce valid disk indices.
 func TestAllocationInvariants(t *testing.T) {
 	f := func(sizes []uint16, disksRaw uint8, greedyScheme bool) bool {

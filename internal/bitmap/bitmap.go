@@ -268,9 +268,3 @@ func (sc *Scheme) SchemePages(g *fragment.Geometry) int64 {
 	}
 	return total
 }
-
-// ReadPagesPerFragment returns the bitmap pages one equality predicate on
-// the indexed attribute reads within a single fragment of `rows` rows.
-func ReadPagesPerFragment(ix Index, rows float64, pageSize int) int64 {
-	return SlicePagesPerFragment(rows, pageSize) * int64(ix.ReadSlices)
-}

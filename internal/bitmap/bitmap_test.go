@@ -255,18 +255,6 @@ func TestIndexAndSchemeSizing(t *testing.T) {
 	}
 }
 
-func TestReadPagesPerFragment(t *testing.T) {
-	ix := Index{Kind: HierEncoded, Slices: 10, ReadSlices: 10}
-	// 1M rows → 125000 bytes → 16 pages per slice → 160 pages.
-	if got := ReadPagesPerFragment(ix, 1_000_000, 8192); got != 160 {
-		t.Fatalf("ReadPages = %d, want 160", got)
-	}
-	ixStd := Index{Kind: Standard, Slices: 605, ReadSlices: 1}
-	if got := ReadPagesPerFragment(ixStd, 1_000_000, 8192); got != 16 {
-		t.Fatalf("standard ReadPages = %d, want 16", got)
-	}
-}
-
 // Property: encoded storage never exceeds standard storage for card >= 2,
 // and standard read cost never exceeds encoded read cost.
 func TestKindTradeoffProperty(t *testing.T) {

@@ -15,6 +15,23 @@ import (
 	"repro/internal/workload"
 )
 
+// cardenas is the count form of the Cardenas estimate: the expected
+// number of distinct cells touched when k random rows fall into G equally
+// likely cells, G(1-(1-1/G)^k). Fractional k is supported (expectations
+// compose). The model prices fragments with granulesTouched; this form is
+// kept here as the ablation's baseline.
+func cardenas(G, k float64) float64 {
+	if G <= 0 || k <= 0 {
+		return 0
+	}
+	if G == 1 {
+		return 1
+	}
+	// The expectation may fall below one cell for fractional k < 1; it
+	// is kept as is, unbiased for aggregation.
+	return min(G*(1-math.Pow(1-1/G, k)), G)
+}
+
 // Ablation 1: probability-form granule touching (granulesTouched) vs the
 // count-form Cardenas estimate. The count form saturates single-granule
 // fragments to "always touched" even for rare qualifying rows — the bug

@@ -32,7 +32,14 @@
 // values) of the maximum per-disk busy time. The expectation is computed
 // exactly by enumerating the distinct hit patterns of the class when their
 // number is tractable, and by deterministic seeded sampling otherwise; the
-// discrete-event simulator (experiment E7) validates both paths.
+// discrete-event simulator (experiment E7) validates both paths. Under
+// round-robin placement, the exact path evaluates one pattern per group
+// of patterns that are disk relabelings of each other (same-length
+// translated outcome sets with bit-equal shares, see relabel.go) and adds
+// that value once per pattern in enumeration order, so the result is
+// bit-identical to evaluating every pattern. Greedy placement is not a
+// relabeling and is never collapsed. The exact/sampled choice counts
+// every pattern.
 package costmodel
 
 import (
@@ -237,6 +244,17 @@ func planClassInto(plan *ClassPlan, s *schema.Star, f *fragment.Fragmentation, s
 				dp.Case = CoarserEq
 				plan.HitProb *= 1 / cq
 			} else {
+				// Finer: each query value hits its one ancestor fragment
+				// value. A fragment value with n children is hit with
+				// probability n/cq, and a hit qualifies 1/n of its rows;
+				// the plan uses 1/cf and cf/cq for every value. Exact
+				// when cf divides cq. Otherwise n is ⌊cq/cf⌋ or ⌈cq/cf⌉,
+				// so n/cq is within 1/cq of 1/cf, and both factors are
+				// off by a relative error below cf/cq. Their product is
+				// 1/cq either way, so expected qualifying rows are exact.
+				// On APB-1 (24M rows, 64 disks, no pruning) exact weights
+				// move E[max] of the affected (candidate, class) pairs by
+				// median 0 and at most 0.64%.
 				dp.Case = Finer
 				plan.HitProb *= 1 / cf
 				sel := cf / cq
@@ -338,14 +356,30 @@ func Outcomes(plan *ClassPlan, mapping skew.Mapping) [][][]int {
 // dimOutcomes builds one fragmentation attribute's outcome sets in
 // O(FragCard): each fragment value is appended to the set of its
 // ancestor, so every set lists its values in ascending order and a query
-// value without fragment values keeps a nil set. The result depends only
-// on (Case, FragCard, QueryCard) and the mapping, so the Evaluator
-// memoizes it per key (dimOutcomeSets); the returned slices are treated
-// as read-only by every consumer.
+// value without fragment values keeps a nil set. All sets of a table are
+// carved from one array, so a build allocates a fixed handful of slices
+// however many sets it has. The result depends only on (Case, FragCard,
+// QueryCard) and the mapping, so the Evaluator memoizes it per key
+// (dimOutcomeSets); the returned slices are treated as read-only by
+// every consumer.
 func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
 	switch dp.Case {
 	case CoarserEq:
+		// Size every set first, so the appends below fill the carved
+		// slices in place.
+		count := make([]int, dp.QueryCard)
+		for v := 0; v < dp.FragCard; v++ {
+			count[Ancestor(v, dp.FragCard, dp.QueryCard, mapping)]++
+		}
+		vals := make([]int, dp.FragCard)
 		sets := make([][]int, dp.QueryCard)
+		off := 0
+		for w, n := range count {
+			if n > 0 {
+				sets[w] = vals[off : off : off+n]
+				off += n
+			}
+		}
 		for v := 0; v < dp.FragCard; v++ {
 			w := Ancestor(v, dp.FragCard, dp.QueryCard, mapping)
 			sets[w] = append(sets[w], v)
@@ -353,13 +387,17 @@ func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
 		return sets
 	case Finer:
 		// Every query value maps to one fragment value; grouping the
-		// cq values by their ancestor yields cf outcomes of equal
-		// probability 1/cf (valid when QueryCard is a multiple of
-		// FragCard; otherwise probabilities differ by O(1/cq) and the
-		// uniform grouping is a close approximation).
+		// cq values by their ancestor yields cf outcomes, enumerated as
+		// equally likely (1/cf each). That is exact when FragCard
+		// divides QueryCard. Otherwise a fragment value with n children
+		// has probability n/cq with n = ⌊cq/cf⌋ or ⌈cq/cf⌉, within
+		// 1/cq of 1/cf (the bound and its measured effect are stated
+		// at planClassInto's Finer case).
 		sets := make([][]int, dp.FragCard)
-		for v := 0; v < dp.FragCard; v++ {
-			sets[v] = []int{v}
+		vals := make([]int, dp.FragCard)
+		for v := range vals {
+			vals[v] = v
+			sets[v] = vals[v : v+1 : v+1]
 		}
 		return sets
 	default: // Unreferenced
@@ -376,7 +414,7 @@ func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
 // the write lock after a re-check, so concurrent misses on one key build
 // it once and every caller sees one canonical (read-only) table per key.
 func (e *Evaluator) dimOutcomeSets(dp DimPlan) [][]int {
-	key := outcomeKey{kase: dp.Case, fragCard: dp.FragCard, queryCard: dp.QueryCard}
+	key := dp.outcomeKey()
 	e.outMu.RLock()
 	sets, ok := e.outcomes[key]
 	e.outMu.RUnlock()
@@ -412,12 +450,15 @@ func Ancestor(v, fineCard, coarseCard int, m skew.Mapping) int {
 // otherwise by deterministic sampling seeded with sampleSeed (derived
 // from the candidate and class, see SampleSeed — never from the clock).
 // Returns seconds and whether the result is exact. Per-fragment service
-// times come from the size-class table (cls indexed through sz.ClassOf);
-// the per-dimension outcome sets come from the evaluator's memo. sc
+// times come from the size-class table (cls indexed through the
+// geometry's ClassOf); the per-dimension outcome sets come from the
+// evaluator's memo. Under round-robin placement the exact path evaluates
+// one pattern per combination of relabeling groups (relabel.go). sc
 // supplies the reused cursor/accumulator buffers; sc.rbusy must be
 // all-zero on entry (the pattern evaluation restores the zeros it
 // overwrites).
-func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, cls []sizeClassCost, sampleSeed int64, sc *Scratch) (float64, bool) {
+func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, g *fragment.Geometry, pl *alloc.Placement, cls []sizeClassCost, sampleSeed int64, sc *Scratch) (float64, bool) {
+	sz := g.SizeClasses()
 	outcomes := sc.outs[:len(plan.Dims)]
 	for i, dp := range plan.Dims {
 		outcomes[i] = e.dimOutcomeSets(dp)
@@ -491,12 +532,51 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 
 	choice := sc.choice[:len(outcomes)]
 	clear(choice)
+	// The exact/sampled choice counts every pattern, collapsed or not.
 	if combos <= maxResponseOutcomes && combos*hitsPerCombo <= maxResponseWork {
-		// Exact: enumerate every outcome combination.
+		// Under round-robin placement, vals[k] holds the value of group
+		// combination k (mixed radix over the per-dimension group ids),
+		// evaluated once on the groups' representatives. It is used only
+		// when some dimension collapses.
+		groups := sc.groups[:len(outcomes)]
+		var vals []float64
+		if pl.Scheme == alloc.RoundRobin {
+			n := 1
+			for i, dp := range plan.Dims {
+				groups[i] = e.outcomeGroupsOf(g.Frag.Attrs()[i], dp, outcomes[i], g.AttrShares[i], sc)
+				n *= len(groups[i].reps)
+			}
+			if n < combos {
+				sc.vals = growFloats(sc.vals, n)
+				vals = sc.vals
+				for k := range vals {
+					r := k
+					for i := len(groups) - 1; i >= 0; i-- {
+						reps := groups[i].reps
+						choice[i] = int(reps[r%len(reps)])
+						r /= len(reps)
+					}
+					vals[k] = evalPattern(choice)
+				}
+				clear(choice)
+			}
+		}
+		// Exact: enumerate every outcome combination, adding one value per
+		// pattern in enumeration order.
 		var sum float64
 		count := 0
 		for {
-			sum += evalPattern(choice)
+			if vals != nil {
+				k := 0
+				for i, c := range choice {
+					if of := groups[i].of; of != nil {
+						k = k*len(groups[i].reps) + int(of[c])
+					}
+				}
+				sum += vals[k]
+			} else {
+				sum += evalPattern(choice)
+			}
 			count++
 			i := len(choice) - 1
 			for ; i >= 0; i-- {
@@ -557,22 +637,6 @@ func granulesTouched(G, rows, p float64) float64 {
 		t = 0
 	}
 	return t
-}
-
-// cardenas returns the expected number of distinct cells touched when k
-// random rows fall into G equally likely cells: G(1-(1-1/G)^k). Fractional
-// k is supported (expectations compose). Kept for the count-form ablation
-// (see bench/ablation tests); FragmentCost uses granulesTouched.
-func cardenas(G, k float64) float64 {
-	if G <= 0 || k <= 0 {
-		return 0
-	}
-	if G == 1 {
-		return 1
-	}
-	// The expectation may fall below one cell for fractional k < 1; it
-	// is kept as is, unbiased for aggregation.
-	return min(G*(1-math.Pow(1-1/G, k)), G)
 }
 
 // PrefetchCap bounds the advisor-chosen prefetch granule in pages (a

@@ -21,10 +21,11 @@ import (
 // many candidates, and one Evaluator may be used from any number of
 // goroutines concurrently. Its only shared mutable state is memoized:
 // share vectors are built under sync.OnceValues (or the shared Cache),
-// outcome tables under outMu, the lower-bound tables under boundOnce and
-// their floor memo under floorMu; every memoized value is read-only once
-// built. Sampling is deterministically seeded, so every Evaluate call
-// prices a candidate identically whatever runs beside it.
+// outcome tables and their relabeling groups under outMu, the
+// lower-bound tables under boundOnce and their floor memo under floorMu;
+// every memoized value is read-only once built. Sampling is
+// deterministically seeded, so every Evaluate call prices a candidate
+// identically whatever runs beside it.
 type Evaluator struct {
 	cfg *Config
 	// weights are the normalized class weights, in mix order.
@@ -46,14 +47,19 @@ type Evaluator struct {
 	// handful of distinct tables serve every (candidate, class) pair. A
 	// build is O(fragCard), so the memo saves allocation rather than
 	// compute: without it every class of every candidate would rebuild
-	// its tables, one set slice per value. On the paper-scale advisory
-	// (APB-1, 24M rows, 64 disks; bench workload cli-apb1, 2-vCPU Xeon)
-	// bypassing it raised allocations from 30.6k to 120.2k and 14.2 to
-	// 19.5 MB per advisory and the p50 from 70 to 77 ms. The cached sets
+	// its tables. On the paper-scale advisory (APB-1, 24M rows, 64 disks;
+	// bench workload cli-apb1, 2-vCPU Xeon), when a build still allocated
+	// one slice per set, bypassing it raised allocations from 30.6k to
+	// 120.2k and 14.2 to 19.5 MB per advisory and the p50 from 70 to 77
+	// ms. The cached sets
 	// are read-only; the map is read under RLock on the hot path, so
 	// lookups stay allocation-free.
 	outMu    sync.RWMutex
 	outcomes map[outcomeKey][][]int
+	// groups memoizes, per (attribute, outcome table), the relabeling
+	// groups of the table's sets under the attribute's shares (see
+	// relabel.go); guarded by outMu and read-only once built.
+	groups map[groupKey]outcomeGroups
 	// boundStateHolder carries the lazily built LowerBound tables.
 	boundStateHolder
 }
@@ -62,6 +68,10 @@ type Evaluator struct {
 type outcomeKey struct {
 	kase                DimCase
 	fragCard, queryCard int
+}
+
+func (dp DimPlan) outcomeKey() outcomeKey {
+	return outcomeKey{kase: dp.Case, fragCard: dp.FragCard, queryCard: dp.QueryCard}
 }
 
 // NewEvaluator validates the configuration and precomputes the shared
@@ -75,6 +85,7 @@ func NewEvaluator(cfg *Config) (*Evaluator, error) {
 		weights:       cfg.Mix.NormalizedWeights(),
 		capacityPages: cfg.Disk.CapacityBytes / int64(cfg.Disk.PageSize),
 		outcomes:      make(map[outcomeKey][][]int),
+		groups:        make(map[groupKey]outcomeGroups),
 	}
 	e.shares = make([][]func() ([]float64, error), len(cfg.Schema.Dimensions))
 	for d := range cfg.Schema.Dimensions {
@@ -250,7 +261,7 @@ func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometr
 		cc.DiskBusy[d] = time.Duration(bz * float64(time.Second))
 	}
 	cc.AccessCost = time.Duration(totalBusy * float64(time.Second))
-	resp, exact := e.expectedMaxResponse(plan, pl, sz, cls, SampleSeed(f, c), sc)
+	resp, exact := e.expectedMaxResponse(plan, g, pl, cls, SampleSeed(f, c), sc)
 	cc.ResponseTime = time.Duration(resp * float64(time.Second))
 	cc.ResponseExact = exact
 	return cc

@@ -30,8 +30,12 @@ import "repro/internal/fragment"
 //
 // The passes that still visit every fragment are the geometry build
 // (sizing and classifying each fragment, then its Stats), the placement
-// (weight fan-out, size CV and the allocator), the fold in evaluateClass
-// and the hit-pattern walk in expectedMaxResponse.
+// (weight fan-out, size CV and the allocator) and the fold in
+// evaluateClass. The hit-pattern walk in expectedMaxResponse visits
+// every hit fragment of each pattern it evaluates. Under greedy
+// placement it evaluates every pattern. Under round-robin placement it
+// evaluates one pattern per group of disk relabelings (relabel.go) and
+// adds the stored value once per pattern.
 
 // sizeClassCost is the kernel's output for one (class, size class) pair:
 // the raw fragment I/O plus every HitProb-weighted per-fragment addend of

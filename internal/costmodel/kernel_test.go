@@ -115,6 +115,12 @@ func naiveExpectedMaxResponse(cfg *Config, plan *ClassPlan, pl *alloc.Placement,
 	for i, dp := range plan.Dims {
 		outcomes[i] = naiveDimOutcomes(dp, cfg.Mapping)
 	}
+	return naiveWalk(plan, pl, tv, outcomes, sampleSeed)
+}
+
+// naiveWalk is the uncollapsed hit-pattern walk over the given outcome
+// tables: every pattern is evaluated, whatever the placement.
+func naiveWalk(plan *ClassPlan, pl *alloc.Placement, tv []float64, outcomes [][][]int, sampleSeed int64) (float64, bool) {
 	combos := 1
 	hitsPerCombo := 1
 	for _, sets := range outcomes {
@@ -527,7 +533,8 @@ func BenchmarkEvaluateSizeClasses(b *testing.B) {
 // paper-scale configuration (24M-row APB-1, 64 disks) and candidate
 // Product.code, whose 9000-value outcome tables dominated the CLI
 // advisory. One op prices every mix class, table builds included: the
-// kernel side clears the evaluator's outcome memo before each class.
+// kernel side clears the evaluator's outcome and group memos before each
+// class.
 func BenchmarkExpectedMaxResponse(b *testing.B) {
 	s := apb.Schema(24_000_000)
 	m, err := apb.Mix(s)
@@ -568,7 +575,8 @@ func BenchmarkExpectedMaxResponse(b *testing.B) {
 		for b.Loop() {
 			for c := range plans {
 				clear(e.outcomes)
-				e.expectedMaxResponse(&plans[c], ev.Placement, sz, cls[c], SampleSeed(f, plans[c].Class), sc)
+				clear(e.groups)
+				e.expectedMaxResponse(&plans[c], ev.Geometry, ev.Placement, cls[c], SampleSeed(f, plans[c].Class), sc)
 			}
 		}
 	})

@@ -36,6 +36,15 @@ type Scratch struct {
 	sets   [][]int
 	idx    []int
 	choice []int
+	// groups holds the per-dimension relabeling groups of the class
+	// currently being priced (views of the Evaluator's group memo),
+	// and vals the value of each group combination; vals grows to the
+	// largest group-combination count seen, at most maxResponseOutcomes,
+	// and is overwritten before use.
+	groups []outcomeGroups
+	vals   []float64
+	// order is the sort permutation of a group-memo build.
+	order []int32
 	// plans holds the candidate's per-class plans, in mix order; Dims
 	// capacity is reused across candidates.
 	plans []ClassPlan
@@ -78,6 +87,10 @@ func (sc *Scratch) resize(disks, dims, classes int) {
 		sc.outs = make([][][]int, dims)
 	}
 	sc.outs = sc.outs[:dims]
+	if cap(sc.groups) < dims {
+		sc.groups = make([]outcomeGroups, dims)
+	}
+	sc.groups = sc.groups[:dims]
 	sc.idx = growInts(sc.idx, dims)
 	sc.choice = growInts(sc.choice, dims)
 	if cap(sc.plans) < classes {
@@ -103,6 +116,13 @@ func growInt64s(s []int64, n int) []int64 {
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }

@@ -96,32 +96,6 @@ func (p *Params) PageTransfer() time.Duration {
 // (seek + rotational delay).
 func (p *Params) Positioning() time.Duration { return p.AvgSeek + p.AvgRotation }
 
-// IOTime returns the service time of a single physical I/O of `pages`
-// contiguous pages. pages <= 0 yields 0 (no I/O).
-func (p *Params) IOTime(pages int64) time.Duration {
-	if pages <= 0 {
-		return 0
-	}
-	return p.Positioning() + time.Duration(pages)*p.PageTransfer()
-}
-
-// SequentialTime returns the time to read `pages` pages sequentially in
-// prefetch units of `granule` pages: one positioning per granule plus the
-// transfer of every page.
-func (p *Params) SequentialTime(pages, granule int64) time.Duration {
-	if pages <= 0 {
-		return 0
-	}
-	if granule <= 0 {
-		granule = 1
-	}
-	ios := (pages + granule - 1) / granule
-	return time.Duration(ios)*p.Positioning() + time.Duration(pages)*p.PageTransfer()
-}
-
-// TotalCapacity returns the aggregate capacity of all disks.
-func (p *Params) TotalCapacity() int64 { return p.CapacityBytes * int64(p.Disks) }
-
 // EffectivePrefetch resolves the fact-table prefetch granule: the
 // configured value if set, otherwise the supplied suggestion, floored at 1.
 func (p *Params) EffectivePrefetch(suggested int) int {

@@ -3,7 +3,6 @@ package disk
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -57,55 +56,6 @@ func TestPageTransfer(t *testing.T) {
 	}
 }
 
-func TestIOTime(t *testing.T) {
-	p := Default2001()
-	if got := p.IOTime(0); got != 0 {
-		t.Fatalf("IOTime(0) = %v", got)
-	}
-	if got := p.IOTime(-3); got != 0 {
-		t.Fatalf("IOTime(-3) = %v", got)
-	}
-	one := p.IOTime(1)
-	if one != p.Positioning()+p.PageTransfer() {
-		t.Fatalf("IOTime(1) = %v", one)
-	}
-	// Larger I/Os amortize positioning: time grows sub-linearly per page.
-	ten := p.IOTime(10)
-	if ten >= 10*one {
-		t.Fatalf("IOTime(10)=%v should be < 10*IOTime(1)=%v", ten, 10*one)
-	}
-}
-
-func TestSequentialTime(t *testing.T) {
-	p := Default2001()
-	if got := p.SequentialTime(0, 8); got != 0 {
-		t.Fatalf("SequentialTime(0) = %v", got)
-	}
-	// granule<=0 behaves as 1 page per I/O.
-	a := p.SequentialTime(5, 0)
-	b := time.Duration(5)*p.Positioning() + time.Duration(5)*p.PageTransfer()
-	if a != b {
-		t.Fatalf("SequentialTime(5,0) = %v, want %v", a, b)
-	}
-	// 100 pages in granules of 8 = 13 positionings + 100 transfers.
-	got := p.SequentialTime(100, 8)
-	want := 13*p.Positioning() + 100*p.PageTransfer()
-	if got != want {
-		t.Fatalf("SequentialTime(100,8) = %v, want %v", got, want)
-	}
-	// Bigger granule never slower.
-	if p.SequentialTime(100, 32) > p.SequentialTime(100, 8) {
-		t.Fatal("larger granule should not be slower for sequential scans")
-	}
-}
-
-func TestTotalCapacity(t *testing.T) {
-	p := Default2001()
-	if got := p.TotalCapacity(); got != (18<<30)*64 {
-		t.Fatalf("TotalCapacity = %d", got)
-	}
-}
-
 func TestEffectivePrefetch(t *testing.T) {
 	p := Default2001()
 	if got := p.EffectivePrefetch(16); got != 16 {
@@ -136,37 +86,5 @@ func TestEffectiveBitmapPrefetch(t *testing.T) {
 	p = Default2001()
 	if got := p.EffectiveBitmapPrefetch(0); got != 1 {
 		t.Fatalf("nothing: %d, want 1", got)
-	}
-}
-
-// Property: IOTime is monotonic in page count.
-func TestIOTimeMonotonic(t *testing.T) {
-	p := Default2001()
-	f := func(a, b uint16) bool {
-		x, y := int64(a), int64(b)
-		if x > y {
-			x, y = y, x
-		}
-		return p.IOTime(x) <= p.IOTime(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SequentialTime never beats the pure transfer lower bound and
-// never exceeds per-page random I/O.
-func TestSequentialTimeBounds(t *testing.T) {
-	p := Default2001()
-	f := func(pagesRaw, granRaw uint16) bool {
-		pages := int64(pagesRaw%10000) + 1
-		gran := int64(granRaw%256) + 1
-		got := p.SequentialTime(pages, gran)
-		lower := time.Duration(pages) * p.PageTransfer()
-		upper := time.Duration(pages) * (p.Positioning() + p.PageTransfer())
-		return got >= lower && got <= upper
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -42,15 +42,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the value for key without promoting it.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*entry[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Add inserts or replaces key and reports the entry it evicted, if any.
 func (c *Cache[K, V]) Add(key K, val V) (evicted K, ok bool) {
 	if el, found := c.items[key]; found {
@@ -78,18 +69,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	c.order.Remove(el)
 	delete(c.items, key)
 	return true
-}
-
-// Range calls f for every entry from most to least recently used,
-// stopping early when f returns false. The cache must not be mutated
-// during the walk.
-func (c *Cache[K, V]) Range(f func(key K, val V) bool) {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry[K, V])
-		if !f(e.key, e.val) {
-			return
-		}
-	}
 }
 
 // Len returns the number of cached entries.

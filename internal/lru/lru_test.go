@@ -78,35 +78,3 @@ func TestLRURemoveAndOldest(t *testing.T) {
 		t.Fatalf("evicted %q (%v); want b", k, evicted)
 	}
 }
-
-func TestLRUPeekDoesNotPromote(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if v, ok := c.Peek("a"); !ok || v != 1 {
-		t.Fatalf("Peek(a) = %d,%v; want 1,true", v, ok)
-	}
-	// a was only peeked, so it stays oldest and gets evicted first.
-	if evictedKey, evicted := c.Add("c", 3); !evicted || evictedKey != "a" {
-		t.Fatalf("expected a evicted after peek, got %q (evicted=%v)", evictedKey, evicted)
-	}
-}
-
-func TestLRURangeOrder(t *testing.T) {
-	c := New[string, int](3)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("c", 3)
-	c.Get("a") // order now a, c, b
-	var keys []string
-	c.Range(func(k string, _ int) bool {
-		keys = append(keys, k)
-		return true
-	})
-	want := []string{"a", "c", "b"}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("range order %v; want %v", keys, want)
-		}
-	}
-}

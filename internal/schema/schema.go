@@ -13,7 +13,6 @@ package schema
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -134,15 +133,6 @@ func (d *Dimension) LevelIndex(name string) (int, error) {
 	return 0, fmt.Errorf("%w: %q in dimension %q", ErrUnknownLevel, name, d.Name)
 }
 
-// FanOut returns the average number of values at level `to` per value at
-// level `from` (from must be at or above to). For from == to it returns 1.
-func (d *Dimension) FanOut(from, to int) float64 {
-	if from > to {
-		from, to = to, from
-	}
-	return float64(d.Levels[to].Cardinality) / float64(d.Levels[from].Cardinality)
-}
-
 // Validate checks structural invariants of the fact table.
 func (f *FactTable) Validate() error {
 	if strings.TrimSpace(f.Name) == "" {
@@ -245,19 +235,6 @@ func (s *Star) CheckAttr(a AttrRef) error {
 		return fmt.Errorf("%w: level index %d in dimension %q", ErrUnknownLevel, a.Level, s.Dimensions[a.Dim].Name)
 	}
 	return nil
-}
-
-// SortedAttrNames returns the full list of attribute paths of the schema in
-// deterministic (dimension, level) order. Useful for reports and tests.
-func (s *Star) SortedAttrNames() []string {
-	var out []string
-	for _, d := range s.Dimensions {
-		for _, lv := range d.Levels {
-			out = append(out, d.Name+"."+lv.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone returns a deep copy of the star schema.

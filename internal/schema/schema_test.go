@@ -2,7 +2,6 @@ package schema
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,20 +201,6 @@ func TestFactBytesPages(t *testing.T) {
 	}
 }
 
-func TestFanOut(t *testing.T) {
-	s := validStar()
-	d := &s.Dimensions[0]
-	if got := d.FanOut(0, 5); got != 2250 { // 9000/4
-		t.Fatalf("FanOut(division->code) = %g", got)
-	}
-	if got := d.FanOut(5, 0); got != 2250 { // order-insensitive
-		t.Fatalf("FanOut reversed = %g", got)
-	}
-	if got := d.FanOut(3, 3); got != 1 {
-		t.Fatalf("FanOut(same) = %g", got)
-	}
-}
-
 func TestBottom(t *testing.T) {
 	s := validStar()
 	d := &s.Dimensions[0]
@@ -244,44 +229,6 @@ func TestStringRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("String() = %q missing %q", out, want)
 		}
-	}
-}
-
-func TestSortedAttrNames(t *testing.T) {
-	s := validStar()
-	names := s.SortedAttrNames()
-	if len(names) != 12 {
-		t.Fatalf("len = %d, want 12", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("not sorted: %q > %q", names[i-1], names[i])
-		}
-	}
-}
-
-// Property: FanOut(a,b)*FanOut(b,c) == FanOut(a,c) for a<=b<=c (telescoping).
-func TestFanOutTelescopes(t *testing.T) {
-	s := validStar()
-	d := &s.Dimensions[0]
-	f := func(a, b, c uint8) bool {
-		n := len(d.Levels)
-		i, j, k := int(a)%n, int(b)%n, int(c)%n
-		if i > j {
-			i, j = j, i
-		}
-		if j > k {
-			j, k = k, j
-		}
-		if i > j {
-			i, j = j, i
-		}
-		got := d.FanOut(i, j) * d.FanOut(j, k)
-		want := d.FanOut(i, k)
-		return math.Abs(got-want) < 1e-9*want+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
