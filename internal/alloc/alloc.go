@@ -7,7 +7,6 @@
 package alloc
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -90,31 +89,6 @@ func Allocate(scheme Scheme, pages []int64, disks int) (*Placement, error) {
 	return pl, nil
 }
 
-// diskHeap is a min-heap over (load, disk index) with deterministic
-// tie-breaking by disk index.
-type diskHeap struct {
-	load []int64
-	idx  []int
-}
-
-func (h *diskHeap) Len() int { return len(h.idx) }
-func (h *diskHeap) Less(i, j int) bool {
-	a, b := h.idx[i], h.idx[j]
-	if h.load[a] != h.load[b] {
-		return h.load[a] < h.load[b]
-	}
-	return a < b
-}
-func (h *diskHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *diskHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *diskHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
 func greedy(pl *Placement, pages []int64) {
 	order := make([]int, len(pages))
 	for i := range order {
@@ -127,17 +101,49 @@ func greedy(pl *Placement, pages []int64) {
 		}
 		return order[a] < order[b]
 	})
-	h := &diskHeap{load: pl.Load, idx: make([]int, pl.Disks)}
-	for d := range h.idx {
-		h.idx[d] = d
+	// idx is a binary min-heap of disks ordered by (load, disk index),
+	// so ties go to the lowest index. Every load starts at zero, so the
+	// identity order already is a heap.
+	load := pl.Load
+	idx := make([]int, pl.Disks)
+	for d := range idx {
+		idx[d] = d
 	}
-	heap.Init(h)
 	for _, fi := range order {
-		d := h.idx[0]
+		d := idx[0]
 		pl.DiskOf[fi] = d
-		pl.Load[d] += pages[fi]
-		heap.Fix(h, 0)
+		load[d] += pages[fi]
+		siftDown(idx, load)
 	}
+}
+
+// siftDown restores the heap order of idx after the load of its root
+// disk grew. It makes container/heap's comparisons — the smaller child
+// by (load, index), then child against root — but carries the root in a
+// local instead of swapping at every level.
+func siftDown(idx []int, load []int64) {
+	n := len(idx)
+	d := idx[0]
+	ld := load[d]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		c := idx[j]
+		if j2 := j + 1; j2 < n {
+			if c2 := idx[j2]; load[c2] < load[c] || load[c2] == load[c] && c2 < c {
+				j, c = j2, c2
+			}
+		}
+		if load[c] > ld || load[c] == ld && c > d {
+			break
+		}
+		idx[i] = c
+		i = j
+	}
+	idx[i] = d
 }
 
 // Choose applies WARLOCK's rule: round-robin normally, greedy size-based

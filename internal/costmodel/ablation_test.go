@@ -42,13 +42,13 @@ func TestAblationGranuleTouchForms(t *testing.T) {
 		p    = 2.755e-5 // (15/605)·(1/900), the APB-1 Q8 conjunction
 	)
 	// Single-granule fragment: the whole fragment is one prefetch unit.
-	probForm := granulesTouched(1, rows, p)
+	probForm := granulesTouched(1, rows, p, math.Log1p(-p))
 	countForm := cardenas(1, rows*p)
 	if countForm != 1 {
 		t.Fatalf("count form should saturate to 1, got %g", countForm)
 	}
-	want := 1 - math.Pow(1-p, rows) // ≈ 0.038
-	if math.Abs(probForm-want) > 1e-12 {
+	want, _ := touchProbRef(p, rows).Float64() // 1 − (1−p)^rows ≈ 0.038
+	if math.Abs(probForm-want) > 1e-15*want {
 		t.Fatalf("prob form = %g, want %g", probForm, want)
 	}
 	if probForm > 0.05 {
@@ -57,7 +57,7 @@ func TestAblationGranuleTouchForms(t *testing.T) {
 	// In the dense regime the two forms agree (their Taylor expansions
 	// coincide when p·rows/G is small relative to both 1/G and p).
 	for _, G := range []float64{64, 256, 1024} {
-		pf := granulesTouched(G, 1e6, 1e-4)
+		pf := granulesTouched(G, 1e6, 1e-4, math.Log1p(-1e-4))
 		cf := cardenas(G, 1e6*1e-4)
 		if d := math.Abs(pf-cf) / cf; d > 0.05 {
 			t.Fatalf("G=%g: forms diverge in the dense regime: %g vs %g", G, pf, cf)

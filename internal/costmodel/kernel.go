@@ -1,6 +1,10 @@
 package costmodel
 
-import "repro/internal/fragment"
+import (
+	"math"
+
+	"repro/internal/fragment"
+)
 
 // This file is the size-class cost kernel: the per-(query class,
 // size class) half of the evaluation hot path. Hierarchical
@@ -11,18 +15,20 @@ import "repro/internal/fragment"
 // distinct size once (fragment.SizeClasses, built once per geometry and
 // shared via the geometry cache) and the evaluator fans the per-class
 // results back out over ClassOf. That turns the transcendental-heavy
-// inner loop (Cardenas' formula is a math.Pow per fragment) from
-// O(fragments) into O(distinct sizes); the remaining per-fragment work
-// is a table lookup and a handful of additions, kept in exact logical
-// fragment order so every accumulated float is bit-identical to the
-// naive per-fragment loop (property-tested in kernel_test.go).
+// inner loop (Cardenas' formula, one math.Expm1 per fragment) from
+// O(fragments) into O(distinct sizes); the formula's log1p(−p) is taken
+// once per query class. The remaining per-fragment work is a table
+// lookup and a handful of additions, kept in exact logical fragment
+// order so every accumulated float is bit-identical to the naive
+// per-fragment loop (property-tested in kernel_test.go).
 //
 // The same dedup feeds all three pricing stages: evaluateClass (full
-// model) and optimizeGranules (granule search over the representative
-// average size, sharing the table's cached row sum) price sizes through
-// FragmentCost here, and lowerbound.go's admissible floor memoizes its
-// per-row service-time kernel across candidates (boundState.floorMemo) —
-// one size, the single fact row, priced once per distinct selectivity.
+// model, through fragmentCost) and optimizeGranules (granule search over
+// the representative average size, sharing the table's cached row sum,
+// through FragmentCost) price sizes here, and lowerbound.go's admissible
+// floor memoizes its per-row service-time kernel across candidates
+// (boundState.floorMemo) — one size, the single fact row, priced once
+// per distinct selectivity.
 // The placement's inputs are priced per size class too: the co-located
 // bitmap pages of one fragment (classBitmapPages) and the scheme's bitmap
 // footprint (bitmap.IndexPages) are computed once per class, and only
@@ -58,11 +64,12 @@ type sizeClassCost struct {
 
 // priceSizeClasses fills and returns the per-size-class cost table of one
 // query class: FragmentCost and service time computed once per distinct
-// (rows, pages) pair, plus the HitProb-weighted addends the accumulation
-// loop folds per fragment. Zero-page classes stay all-zero, matching the
-// naive loop's skip of empty fragments (adding +0.0 to the non-negative
-// accumulators is a bitwise no-op). The table lives in the scratch and is
-// overwritten by the next call.
+// (rows, pages) pair, with the class's log1p(−IndexedSel) taken once,
+// plus the HitProb-weighted addends the accumulation loop folds per
+// fragment. Zero-page classes stay all-zero, matching the naive loop's
+// skip of empty fragments (adding +0.0 to the non-negative accumulators
+// is a bitwise no-op). The table lives in the scratch and is overwritten
+// by the next call.
 func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment.SizeClasses, factGranule, bmGranule int, sc *Scratch) []sizeClassCost {
 	k := sz.NumClasses()
 	if cap(sc.cls) < k {
@@ -70,13 +77,14 @@ func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment
 	}
 	cls := sc.cls[:k]
 	hp := plan.HitProb
+	lq := math.Log1p(-plan.IndexedSel)
 	for c := range cls {
 		if sz.Pages[c] == 0 {
 			cls[c] = sizeClassCost{}
 			continue
 		}
 		rows := sz.Rows[c]
-		io := FragmentCost(plan, pageSize, sz.Pages[c], rows, factGranule, bmGranule)
+		io := fragmentCost(plan, pageSize, sz.Pages[c], rows, factGranule, bmGranule, lq)
 		tv := io.Seconds(&e.cfg.Disk)
 		cls[c] = sizeClassCost{
 			io:          io,

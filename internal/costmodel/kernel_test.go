@@ -589,3 +589,55 @@ func BenchmarkExpectedMaxResponse(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPriceSizeClasses times the size-class kernel alone on the
+// skewed paper-scale configuration (24M-row APB-1, 64 disks, θ = 1 on
+// Product and Customer, candidates with fewer than 64 pages per average
+// fragment excluded): the surviving candidate with the most size classes,
+// every mix class priced per op.
+func BenchmarkPriceSizeClasses(b *testing.B) {
+	s := apb.Schema(24_000_000)
+	for i := range s.Dimensions {
+		if d := &s.Dimensions[i]; d.Name == "Product" || d.Name == "Customer" {
+			d.SkewTheta = 1
+		}
+	}
+	m, err := apb.Mix(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEvaluator(&Config{Schema: s, Mix: m, Disk: apb.Disk(64)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	th := fragment.Thresholds{MinAvgFragmentPages: 64}
+	var best *fragment.Fragmentation
+	bestK := 0
+	for _, f := range fragment.Enumerate(s) {
+		g, err := e.Geometry(f)
+		if err != nil || th.Check(g) != nil {
+			continue
+		}
+		if k := g.SizeClasses().NumClasses(); k > bestK {
+			best, bestK = f, k
+		}
+	}
+	ev, err := e.Evaluate(best)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("candidate %s: %d fragments, %d size classes, %d mix classes",
+		best.Name(s), ev.Geometry.NumFragments(), bestK, len(m.Classes))
+	plans := make([]ClassPlan, len(m.Classes))
+	for i := range plans {
+		plans[i] = PlanClass(s, best, ev.Scheme, &m.Classes[i])
+	}
+	sz := ev.Geometry.SizeClasses()
+	sc := e.NewScratch(nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range plans {
+			e.priceSizeClasses(&plans[i], ev.Geometry.PageSize, sz, ev.FactPrefetch, ev.BitmapPrefetch, sc)
+		}
+	}
+}

@@ -96,7 +96,8 @@ type boundState struct {
 	// floorMu/floorMemo memoize perRowFloor by the exact bits of its
 	// selectivity floor argument — the bound's own size-class dedup: the
 	// candidate space induces only a handful of distinct (class, pLB)
-	// selectivities, and each costs two math.Pow calls. Bit-keying keeps
+	// selectivities, and each costs a log1p and two expm1 calls
+	// (touchProb, the kernel's Cardenas form). Bit-keying keeps
 	// the memo exact (same bits in, same float out), and reads take only
 	// the read lock so the hot path stays allocation-free after warm-up
 	// (cf. TestLowerBoundAllocationFree).
@@ -248,7 +249,8 @@ func (e *Evaluator) LowerBound(f *fragment.Fragmentation) (lbCost, lbResp time.D
 // qualifying-probability-p fact row can contribute:
 // cPg·xfer + cIO·pos with cPg = (1−(1−p)^(ρ·gLo))/ρ pages per row and
 // cIO = (1−(1−p)^(ρ·gHi))/(ρ·gHi) positioning operations per row (see
-// the derivation above).
+// the derivation above). Both powers are taken with touchProb, the form
+// granulesTouched prices fragments with.
 // Distinct selectivity floors are memoized (floorMemo) so each is priced
 // once per Evaluator, not once per candidate.
 func (b *boundState) perRowFloor(p float64) float64 {
@@ -264,9 +266,9 @@ func (b *boundState) perRowFloor(p float64) float64 {
 	}
 	onePg, oneIO := 1.0, 1.0
 	if p < 1 {
-		q := 1 - p
-		onePg = 1 - math.Pow(q, b.rho*b.granLo)
-		oneIO = 1 - math.Pow(q, b.rho*b.granHi)
+		lq := math.Log1p(-p)
+		onePg = touchProb(b.rho*b.granLo, lq)
+		oneIO = touchProb(b.rho*b.granHi, lq)
 	}
 	v = onePg/b.rho*b.xfer + oneIO/(b.rho*b.granHi)*b.pos
 	b.floorMu.Lock()
