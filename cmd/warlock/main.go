@@ -223,9 +223,16 @@ func runSweep(ctx context.Context, path, jsonPath string, workers int) error {
 		return err
 	}
 	fmt.Printf("sweep: %d scenarios (shared-state pipeline)\n", len(rep.Scenarios))
-	if total := rep.PruneEvaluated + rep.PruneSkipped; total > 0 {
+	var evaluated, skipped int
+	for _, sr := range rep.Scenarios {
+		if sr.Result != nil {
+			evaluated += sr.Result.PruneStats.Evaluated
+			skipped += sr.Result.PruneStats.Skipped
+		}
+	}
+	if total := evaluated + skipped; total > 0 {
 		fmt.Fprintf(os.Stderr, "pruning: %d candidates evaluated, %d skipped by lower bound (%.1f%%)\n",
-			rep.PruneEvaluated, rep.PruneSkipped, pct(rep.PruneSkipped, total))
+			evaluated, skipped, pct(skipped, total))
 	}
 	fmt.Println()
 	if err := rep.Table(os.Stdout); err != nil {

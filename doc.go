@@ -18,7 +18,9 @@
 // client cancels its own evaluation unless coalesced waiters remain — and
 // the service sheds load beyond a bounded queue (503 + Retry-After scaled
 // to queue fill), with stage latency histograms and timeout/shed counters
-// on /metrics.
+// on /metrics. Those counters cover the running process: a sweep resumed
+// from checkpoints counts the prune and panic diagnostics of the scenarios
+// it evaluates, never those of the scenarios it replays.
 // internal/jobs runs the same documents asynchronously: POST /v1/jobs
 // returns a job id (the canonical fingerprint, so identical submissions
 // coalesce), GET /v1/jobs/{id} reports live per-scenario progress, and the

@@ -21,11 +21,10 @@ import (
 // many candidates, and one Evaluator may be used from any number of
 // goroutines concurrently. Its only shared mutable state is memoized:
 // share vectors are built under sync.OnceValues (or the shared Cache),
-// outcome tables and their relabeling groups under outMu, the
-// lower-bound tables under boundOnce and their floor memo under floorMu;
-// every memoized value is read-only once built. Sampling is
-// deterministically seeded, so every Evaluate call prices a candidate
-// identically whatever runs beside it.
+// outcome tables and their relabeling groups under outMu, and the
+// lower-bound tables under boundOnce; every memoized value is read-only
+// once built. Sampling is deterministically seeded, so every Evaluate
+// call prices a candidate identically whatever runs beside it.
 type Evaluator struct {
 	cfg *Config
 	// weights are the normalized class weights, in mix order.

@@ -26,9 +26,8 @@ import (
 // model, through fragmentCost) and optimizeGranules (granule search over
 // the representative average size, sharing the table's cached row sum,
 // through FragmentCost) price sizes here, and lowerbound.go's admissible
-// floor memoizes its per-row service-time kernel across candidates
-// (boundState.floorMemo) — one size, the single fact row, priced once
-// per distinct selectivity.
+// floor prices its single size, the one fact row, with the same
+// touchProb form (boundState.perRowFloor).
 // The placement's inputs are priced per size class too: the co-located
 // bitmap pages of one fragment (classBitmapPages) and the scheme's bitmap
 // footprint (bitmap.IndexPages) are computed once per class, and only

@@ -93,16 +93,6 @@ type boundState struct {
 	// or above fragLevel, the minimum summed share of the fragment
 	// values any single query value selects (fragment elimination case).
 	ancMin map[ancKey]float64
-	// floorMu/floorMemo memoize perRowFloor by the exact bits of its
-	// selectivity floor argument — the bound's own size-class dedup: the
-	// candidate space induces only a handful of distinct (class, pLB)
-	// selectivities, and each costs a log1p and two expm1 calls
-	// (touchProb, the kernel's Cardenas form). Bit-keying keeps
-	// the memo exact (same bits in, same float out), and reads take only
-	// the read lock so the hot path stays allocation-free after warm-up
-	// (cf. TestLowerBoundAllocationFree).
-	floorMu   sync.RWMutex
-	floorMemo map[uint64]float64
 }
 
 // boundTables returns the lazily built lower-bound tables.
@@ -113,7 +103,7 @@ func (e *Evaluator) boundTables() *boundState {
 
 func (e *Evaluator) buildBoundTables() *boundState {
 	cfg := e.cfg
-	b := &boundState{ancMin: map[ancKey]float64{}, floorMemo: map[uint64]float64{}}
+	b := &boundState{ancMin: map[ancKey]float64{}}
 	if cfg.Schema.Fact.RowSize <= 0 || cfg.Disk.PageSize <= 0 || cfg.Disk.Disks <= 0 {
 		return b
 	}
@@ -251,18 +241,9 @@ func (e *Evaluator) LowerBound(f *fragment.Fragmentation) (lbCost, lbResp time.D
 // cIO = (1−(1−p)^(ρ·gHi))/(ρ·gHi) positioning operations per row (see
 // the derivation above). Both powers are taken with touchProb, the form
 // granulesTouched prices fragments with.
-// Distinct selectivity floors are memoized (floorMemo) so each is priced
-// once per Evaluator, not once per candidate.
 func (b *boundState) perRowFloor(p float64) float64 {
 	if p <= 0 || b.rho <= 0 {
 		return 0
-	}
-	key := math.Float64bits(p)
-	b.floorMu.RLock()
-	v, ok := b.floorMemo[key]
-	b.floorMu.RUnlock()
-	if ok {
-		return v
 	}
 	onePg, oneIO := 1.0, 1.0
 	if p < 1 {
@@ -270,11 +251,7 @@ func (b *boundState) perRowFloor(p float64) float64 {
 		onePg = touchProb(b.rho*b.granLo, lq)
 		oneIO = touchProb(b.rho*b.granHi, lq)
 	}
-	v = onePg/b.rho*b.xfer + oneIO/(b.rho*b.granHi)*b.pos
-	b.floorMu.Lock()
-	b.floorMemo[key] = v
-	b.floorMu.Unlock()
-	return v
+	return onePg/b.rho*b.xfer + oneIO/(b.rho*b.granHi)*b.pos
 }
 
 // floorDuration converts a seconds floor to nanoseconds with slack for

@@ -75,7 +75,7 @@ func TestRetryTransientFailure(t *testing.T) {
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", attempts)
 	}
-	if got := m.Totals().Retries; got != 2 {
+	if got := m.Totals().Retries.Load(); got != 2 {
 		t.Fatalf("Totals.Retries = %d, want 2", got)
 	}
 	if got, want := sl.snapshot(), []time.Duration{time.Second, 2 * time.Second}; !slices.Equal(got, want) {
@@ -109,7 +109,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if attempts != 4 { // initial run + 3 retries
 		t.Fatalf("attempts = %d, want 4", attempts)
 	}
-	if got := m.Totals().Retries; got != 3 {
+	if got := m.Totals().Retries.Load(); got != 3 {
 		t.Fatalf("Totals.Retries = %d, want 3", got)
 	}
 	if got, want := sl.snapshot(), []time.Duration{time.Second, 2 * time.Second, 4 * time.Second}; !slices.Equal(got, want) {
@@ -139,8 +139,8 @@ func TestRetrySkipsPermanentFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait(t, j)
-	if attempts != 1 || m.Totals().Retries != 0 {
-		t.Fatalf("attempts = %d retries = %d, want 1/0", attempts, m.Totals().Retries)
+	if attempts != 1 || m.Totals().Retries.Load() != 0 {
+		t.Fatalf("attempts = %d retries = %d, want 1/0", attempts, m.Totals().Retries.Load())
 	}
 }
 
@@ -168,8 +168,8 @@ func TestRetrySkipsCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait(t, j)
-	if attempts != 1 || m.Totals().Retries != 0 {
-		t.Fatalf("attempts = %d retries = %d, want 1/0", attempts, m.Totals().Retries)
+	if attempts != 1 || m.Totals().Retries.Load() != 0 {
+		t.Fatalf("attempts = %d retries = %d, want 1/0", attempts, m.Totals().Retries.Load())
 	}
 }
 
@@ -228,7 +228,7 @@ func TestCheckpointFaultsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if got := m.Totals().CheckpointFailures; got != 1 {
+	if got := m.Totals().CheckpointFailures.Load(); got != 1 {
 		t.Fatalf("CheckpointFailures = %d, want 1", got)
 	}
 	m.Close() // shutdown: files survive

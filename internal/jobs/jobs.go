@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -54,10 +55,6 @@ const (
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
-
-// States lists every job state in lifecycle order — the metrics endpoint
-// renders one counter per state.
-var States = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
 
 // ErrStoreFull reports a submission rejected because the job store is at
 // capacity with no finished job to evict.
@@ -122,28 +119,27 @@ type Config struct {
 	sleep func(ctx context.Context, d time.Duration) bool
 }
 
-// Totals is a snapshot of the manager's lifetime counters and current
-// gauges.
+// Totals are the manager's lifetime counters, incremented where the
+// counted event happens. How many jobs are queued or running now is not
+// a counter but a count of the store (Manager.Count).
 type Totals struct {
 	// Submitted counts accepted new jobs; Coalesced counts submissions
 	// answered by an existing job with the same id.
-	Submitted, Coalesced int64
+	Submitted, Coalesced atomic.Int64
 	// Done, Failed, Cancelled count terminal transitions.
-	Done, Failed, Cancelled int64
+	Done, Failed, Cancelled atomic.Int64
 	// ScenariosCompleted counts per-scenario completion callbacks
 	// recorded via Job.AddScenarios across all jobs.
-	ScenariosCompleted int64
+	ScenariosCompleted atomic.Int64
 	// Retries counts transient-failure re-runs across all jobs.
-	Retries int64
+	Retries atomic.Int64
 	// CheckpointFailures counts checkpoint lines that could not be
 	// durably recorded (write, marshal or fsync failure). Checkpointing
 	// degrades silently by design — a lost line only costs recomputation
 	// after a restart — but the failures must still surface somewhere,
 	// and this counter (exported as warlockd_job_checkpoint_failures_total)
 	// is that somewhere.
-	CheckpointFailures int64
-	// Running and Queued are current gauges.
-	Running, Queued int64
+	CheckpointFailures atomic.Int64
 }
 
 // Runner executes one job: it receives the job's context (cancelled by
@@ -178,7 +174,8 @@ type Progress struct {
 	// rather than evaluated in this run.
 	ScenariosResumed int `json:"scenariosResumed,omitempty"`
 	// PruneEvaluated / PruneSkipped aggregate the branch-and-bound work
-	// split across the job's advisories. Diagnostic only.
+	// split across the advisories this process evaluated for the job;
+	// scenarios replayed from checkpoints add nothing. Diagnostic only.
 	PruneEvaluated int `json:"pruneEvaluated,omitempty"`
 	PruneSkipped   int `json:"pruneSkipped,omitempty"`
 }
@@ -264,7 +261,7 @@ func (j *Job) AddScenarios(n int) {
 	if n <= 0 {
 		return
 	}
-	j.m.counts(func(t *Totals) { t.ScenariosCompleted += int64(n) })
+	j.m.totals.ScenariosCompleted.Add(int64(n))
 }
 
 // Checkpoint durably records one completed unit of work (a sweep
@@ -350,8 +347,7 @@ type Manager struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
 
-	cmu sync.Mutex
-	c   Totals
+	totals Totals
 }
 
 // New returns a running manager. Close it to cancel every job context
@@ -395,18 +391,20 @@ func (m *Manager) Close() {
 
 func (m *Manager) now() time.Time { return m.cfg.now() }
 
-func (m *Manager) counts(f func(*Totals)) {
-	m.cmu.Lock()
-	f(&m.c)
-	m.cmu.Unlock()
-}
+// Totals returns the manager's lifetime counters.
+func (m *Manager) Totals() *Totals { return &m.totals }
 
-// Totals returns a snapshot of the manager counters.
-func (m *Manager) Totals() Totals {
-	m.cmu.Lock()
-	t := m.c
-	m.cmu.Unlock()
-	return t
+// Count returns how many stored jobs are in the given state.
+func (m *Manager) Count(s State) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := int64(0)
+	for _, j := range m.jobs {
+		if j.State() == s {
+			n++
+		}
+	}
+	return n
 }
 
 // Len returns the number of stored jobs (any state).
@@ -432,7 +430,7 @@ func (m *Manager) Submit(req Request) (*Job, bool, error) {
 	m.mu.Lock()
 	if j, ok := m.jobs[req.ID]; ok && !m.expiredLocked(j, now) && j.State() != StateCancelled {
 		m.mu.Unlock()
-		m.counts(func(t *Totals) { t.Coalesced++ })
+		m.totals.Coalesced.Add(1)
 		return j, false, nil
 	}
 	if err := m.evictForLocked(now); err != nil {
@@ -467,7 +465,7 @@ func (m *Manager) Submit(req Request) (*Job, bool, error) {
 		return nil, false, fmt.Errorf("jobs: persist submission: %w", err)
 	}
 
-	m.counts(func(t *Totals) { t.Submitted++; t.Queued++ })
+	m.totals.Submitted.Add(1)
 	m.wg.Add(1)
 	go m.runJob(j, req.Run)
 	return j, true, nil
@@ -498,18 +496,14 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 		return nil, false
 	}
 	j.mu.Lock()
-	switch {
-	case j.state.Terminal():
+	if j.state.Terminal() {
 		j.mu.Unlock()
 		m.mu.Lock()
 		delete(m.jobs, id)
 		m.mu.Unlock()
 		return j, true
-	case j.state == StateQueued:
-		m.counts(func(t *Totals) { t.Queued--; t.Cancelled++ })
-	default: // running
-		m.counts(func(t *Totals) { t.Running--; t.Cancelled++ })
 	}
+	m.totals.Cancelled.Add(1)
 	j.state = StateCancelled
 	j.finished = m.now()
 	ck := j.ckpt
@@ -555,7 +549,7 @@ func (m *Manager) runJob(j *Job, run Runner) {
 	// The backoff sleeps on the seam'd clock so tests drive it
 	// deterministically.
 	for attempt := 0; attempt < m.cfg.Retries && m.retryable(j, err); attempt++ {
-		m.counts(func(t *Totals) { t.Retries++ })
+		m.totals.Retries.Add(1)
 		backoff := DefaultRetryBackoff << attempt
 		if backoff > maxRetryBackoff || backoff <= 0 { // <= 0: shift overflow
 			backoff = maxRetryBackoff
@@ -604,11 +598,8 @@ func (j *Job) start() bool {
 	j.started = j.m.now()
 	if j.m.cfg.Dir != "" {
 		m := j.m
-		j.ckpt = openCheckpoint(m.cfg.Dir, j.id, m.cfg.Faults, func() {
-			m.counts(func(t *Totals) { t.CheckpointFailures++ })
-		})
+		j.ckpt = openCheckpoint(m.cfg.Dir, j.id, m.cfg.Faults, func() { m.totals.CheckpointFailures.Add(1) })
 	}
-	j.m.counts(func(t *Totals) { t.Queued--; t.Running++ })
 	return true
 }
 
@@ -636,11 +627,11 @@ func (j *Job) finish(b []byte, err error) {
 	if err != nil {
 		j.state = StateFailed
 		j.err = err
-		j.m.counts(func(t *Totals) { t.Running--; t.Failed++ })
+		j.m.totals.Failed.Add(1)
 	} else {
 		j.state = StateDone
 		j.result = b
-		j.m.counts(func(t *Totals) { t.Running--; t.Done++ })
+		j.m.totals.Done.Add(1)
 	}
 	j.mu.Unlock()
 	// Clean up before signalling Done so "the job is finished" implies

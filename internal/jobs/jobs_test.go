@@ -79,9 +79,11 @@ func TestSubmitRunResult(t *testing.T) {
 		t.Fatalf("progress: %+v", st.Progress)
 	}
 	tot := m.Totals()
-	if tot.Submitted != 1 || tot.Done != 1 || tot.ScenariosCompleted != 1 ||
-		tot.Running != 0 || tot.Queued != 0 {
-		t.Fatalf("totals: %+v", tot)
+	if tot.Submitted.Load() != 1 || tot.Done.Load() != 1 || tot.ScenariosCompleted.Load() != 1 ||
+		m.Count(StateRunning) != 0 || m.Count(StateQueued) != 0 {
+		t.Fatalf("totals: submitted=%d done=%d scenarios=%d running=%d queued=%d",
+			tot.Submitted.Load(), tot.Done.Load(), tot.ScenariosCompleted.Load(),
+			m.Count(StateRunning), m.Count(StateQueued))
 	}
 }
 
@@ -102,8 +104,8 @@ func TestSubmitFailure(t *testing.T) {
 	if st := j.Status(); st.State != StateFailed || st.Error != "boom" {
 		t.Fatalf("status: %+v", st)
 	}
-	if tot := m.Totals(); tot.Failed != 1 {
-		t.Fatalf("totals: %+v", tot)
+	if got := m.Totals().Failed.Load(); got != 1 {
+		t.Fatalf("failed = %d, want 1", got)
 	}
 }
 
@@ -136,8 +138,8 @@ func TestCoalesce(t *testing.T) {
 	if err != nil || created || j3 != j1 {
 		t.Fatalf("post-finish: created=%v err=%v same=%v", created, err, j3 == j1)
 	}
-	if tot := m.Totals(); tot.Submitted != 1 || tot.Coalesced != 2 {
-		t.Fatalf("totals: %+v", tot)
+	if tot := m.Totals(); tot.Submitted.Load() != 1 || tot.Coalesced.Load() != 2 {
+		t.Fatalf("submitted=%d coalesced=%d, want 1/2", tot.Submitted.Load(), tot.Coalesced.Load())
 	}
 }
 
@@ -174,8 +176,8 @@ func TestCancelRunning(t *testing.T) {
 	if _, err, ok := j.Result(); !ok || !errors.Is(err, context.Canceled) {
 		t.Fatalf("Result err = %v ok=%v", err, ok)
 	}
-	if tot := m.Totals(); tot.Cancelled != 1 || tot.Running != 0 {
-		t.Fatalf("totals: %+v", tot)
+	if got := m.Totals().Cancelled.Load(); got != 1 || m.Count(StateRunning) != 0 {
+		t.Fatalf("cancelled = %d running = %d, want 1/0", got, m.Count(StateRunning))
 	}
 	// Resubmission after an explicit cancel starts a fresh run.
 	j2, created, err := m.Submit(Request{

@@ -72,11 +72,11 @@ func TestAllowPartialDeadlineReturns200(t *testing.T) {
 			t.Fatalf("request %d served a partial response from the cache", i)
 		}
 	}
-	m := srv.Metrics()
-	if m.AdviseEntries != 0 {
+	m := metrics(t, srv)
+	if m["warlockd_advise_cache_entries"] != 0 {
 		t.Fatalf("partial responses were cached: %+v", m)
 	}
-	if m.Timeouts != 0 {
+	if m["warlockd_timeouts_total"] != 0 {
 		t.Fatalf("degraded requests still counted as timeouts: %+v", m)
 	}
 }
@@ -101,15 +101,15 @@ func TestAllowPartialCompleteRunByteIdentical(t *testing.T) {
 	if strings.Contains(string(got), `"partial"`) {
 		t.Fatalf("complete response leaked the partial field: %s", got)
 	}
-	if m := srv.Metrics(); m.AdviseEntries != 1 {
+	if m := metrics(t, srv); m["warlockd_advise_cache_entries"] != 1 {
 		t.Fatalf("complete AllowPartial response not cached: %+v", m)
 	}
 }
 
 // TestEvalPanicsSurfaceInResponseAndMetrics: a panic injected into one
-// candidate evaluation shows up as faultedCandidates in the response, on
-// Metrics.EvalPanics, and on the /metrics text exposition — while the
-// advisory itself completes with 200.
+// candidate evaluation shows up as faultedCandidates in the response and
+// on warlockd_eval_panics_total — while the advisory itself completes
+// with 200.
 func TestEvalPanicsSurfaceInResponseAndMetrics(t *testing.T) {
 	reg := faults.New()
 	// Exactly the first evaluated candidate panics; the rest survive.
@@ -132,18 +132,8 @@ func TestEvalPanicsSurfaceInResponseAndMetrics(t *testing.T) {
 	if env.Partial {
 		t.Fatalf("panic isolation marked the run partial: %s", body)
 	}
-	if m := srv.Metrics(); m.EvalPanics != 1 {
-		t.Fatalf("Metrics.EvalPanics = %d, want 1", m.EvalPanics)
-	}
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(buf.String(), "warlockd_eval_panics_total 1") {
-		t.Fatalf("metrics exposition missing eval panic count:\n%s", buf.String())
+	if got := metrics(t, srv)["warlockd_eval_panics_total"]; got != 1 {
+		t.Fatalf("warlockd_eval_panics_total = %d, want 1", got)
 	}
 }
 
@@ -186,7 +176,7 @@ func TestJobRetryRecoversTransientFailure(t *testing.T) {
 	if st.State != jobs.StateDone {
 		t.Fatalf("job state = %s (error %q), want done after retry", st.State, st.Error)
 	}
-	if got := srv.Metrics().Jobs.Retries; got != 1 {
+	if got := metrics(t, srv)["warlockd_job_retries_total"]; got != 1 {
 		t.Fatalf("Jobs.Retries = %d, want 1", got)
 	}
 	mResp, err := ts.Client().Get(ts.URL + "/metrics")

@@ -177,8 +177,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 // is full of unfinished jobs: roughly one queued-jobs drain interval,
 // bounded the same way the queue-based hint is.
 func (s *Server) jobsRetryAfter() int {
-	t := s.jobs.Totals()
-	return retryAfterSecs(t.Queued+t.Running, int(t.Queued+t.Running)+1)
+	n := s.jobs.Count(jobs.StateQueued) + s.jobs.Count(jobs.StateRunning)
+	return retryAfterSecs(n, int(n)+1)
 }
 
 // sniffKind infers the document kind from its shape: a sweep document
@@ -248,9 +248,9 @@ func jobSweepOptions(j *jobs.Job, opts *sweep.Options) {
 			if p.Resumed {
 				pr.ScenariosResumed++
 			}
-			if p.Outcome.HasResult {
-				pr.PruneEvaluated += p.Outcome.PruneEvaluated
-				pr.PruneSkipped += p.Outcome.PruneSkipped
+			if p.Result != nil {
+				pr.PruneEvaluated += p.Result.PruneStats.Evaluated
+				pr.PruneSkipped += p.Result.PruneStats.Skipped
 			}
 		})
 		if !p.Resumed {

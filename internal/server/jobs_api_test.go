@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/sweep"
 )
@@ -334,10 +335,10 @@ func TestJobAdviseLifecycle(t *testing.T) {
 		t.Fatalf("list: %+v", list)
 	}
 
-	m := srv.Metrics()
-	if m.Jobs.Submitted != 1 || m.Jobs.Coalesced != 1 || m.Jobs.Done != 1 ||
-		m.Jobs.ScenariosCompleted != 1 || m.JobsStored != 1 {
-		t.Fatalf("job metrics: %+v", m.Jobs)
+	m := metrics(t, srv)
+	if m["warlockd_jobs_submitted_total"] != 1 || m["warlockd_jobs_coalesced_total"] != 1 || m[`warlockd_jobs_total{state="done"}`] != 1 ||
+		m["warlockd_job_scenarios_completed_total"] != 1 || m["warlockd_jobs_stored"] != 1 {
+		t.Fatalf("job metrics: %v", m)
 	}
 
 	// DELETE on a finished job evicts it.
@@ -389,8 +390,8 @@ func TestJobSweepLifecycleByteIdentical(t *testing.T) {
 		t.Fatalf("job sweep result differs from independent sync sweep:\n%s\nvs\n%s", buf.Bytes(), syncBody)
 	}
 
-	if m := srv.Metrics(); m.Jobs.ScenariosCompleted != 4 {
-		t.Fatalf("scenario counter: %+v", m.Jobs)
+	if m := metrics(t, srv); m["warlockd_job_scenarios_completed_total"] != 4 {
+		t.Fatalf("scenario counter: %v", m)
 	}
 
 	// The metrics endpoint exposes the per-state counters.
@@ -498,8 +499,8 @@ func TestJobCancelMidRun(t *testing.T) {
 	if st := waitJob(t, ts, again.ID); st.State != jobs.StateDone {
 		t.Fatalf("rerun state = %s (error %q)", st.State, st.Error)
 	}
-	if m := srv.Metrics(); m.Jobs.Cancelled != 1 || m.Jobs.Done != 1 {
-		t.Fatalf("job metrics: %+v", m.Jobs)
+	if m := metrics(t, srv); m[`warlockd_jobs_total{state="cancelled"}`] != 1 || m[`warlockd_jobs_total{state="done"}`] != 1 {
+		t.Fatalf("job metrics: %v", m)
 	}
 }
 
@@ -507,7 +508,10 @@ func TestJobCancelMidRun(t *testing.T) {
 // its first checkpoints — exactly what a killed daemon leaves behind —
 // and verifies a fresh server resumes the job, replays the checkpointed
 // scenarios instead of re-evaluating them, and produces bytes identical
-// to an uninterrupted synchronous sweep.
+// to an uninterrupted synchronous sweep. One checkpoint line is in the
+// older format that still carried per-scenario diagnostics; the
+// restarted server's prune and panic counters must cover only the
+// scenarios it evaluated itself.
 func TestJobRestartResume(t *testing.T) {
 	sd := tinySweepDoc(100_000)
 	spec := encodeSweepDoc(t, sd)
@@ -523,11 +527,8 @@ func TestJobRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type ck struct {
-		K int             `json:"k"`
-		V json.RawMessage `json:"v"`
-	}
-	var lines []ck
+	outcomes := map[int]json.RawMessage{}
+	results := map[int]*core.Result{}
 	if _, err := sweep.Run(context.Background(), base, grid, sweep.Options{
 		ResponseTarget: target,
 		OnScenario: func(p sweep.Progress) {
@@ -536,13 +537,13 @@ func TestJobRestartResume(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			lines = append(lines, ck{K: p.Index, V: b})
+			outcomes[p.Index], results[p.Index] = b, p.Result
 		},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) < 2 {
-		t.Fatalf("grid too small to test partial resume: %d scenarios", len(lines))
+	if len(outcomes) != 4 {
+		t.Fatalf("grid has %d scenarios, want 4", len(outcomes))
 	}
 
 	// Persist the spec and HALF the checkpoints in the documented on-disk
@@ -558,15 +559,18 @@ func TestJobRestartResume(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, fp+".job"), sf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var ckpt bytes.Buffer
-	kept := lines[:len(lines)/2]
-	for _, l := range kept {
-		b, err := json.Marshal(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt.Write(append(b, '\n'))
+	// Scenario 0's line is written in the old format; it must decode to
+	// the same Outcome a current checkpoint holds.
+	const oldLine = `{"k":0,"v":{"hasResult":true,"pruneEvaluated":4,"pruneSkipped":0,"evalPanics":0,` +
+		`"hasWinner":true,"winner":"D1.b","winnerKey":"0:1","fragments":16,"accessNs":97343749,` +
+		`"responseNs":97343749,"scheme":"round-robin","capacityOK":true}}`
+	var old struct{ V sweep.Outcome }
+	var cur sweep.Outcome
+	if json.Unmarshal([]byte(oldLine), &old) != nil || json.Unmarshal(outcomes[0], &cur) != nil || old.V != cur {
+		t.Fatalf("old-format checkpoint %s no longer matches scenario 0's outcome %s", oldLine, outcomes[0])
 	}
+	ckpt := bytes.NewBufferString(oldLine + "\n")
+	fmt.Fprintf(ckpt, "{\"k\":1,\"v\":%s}\n", outcomes[1])
 	if err := os.WriteFile(filepath.Join(dir, fp+".ckpt"), ckpt.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -586,9 +590,26 @@ func TestJobRestartResume(t *testing.T) {
 	if st.Progress.ScenariosDone != st.Progress.ScenariosTotal {
 		t.Fatalf("incomplete progress: %+v", st.Progress)
 	}
-	// Only the non-checkpointed scenarios were actually evaluated.
-	if m := srv.Metrics(); m.Jobs.ScenariosCompleted+int64(st.Progress.ScenariosResumed) != int64(st.Progress.ScenariosTotal) {
-		t.Fatalf("resumed+evaluated != total: counter=%d progress=%+v", m.Jobs.ScenariosCompleted, st.Progress)
+	// Only the non-checkpointed scenarios were actually evaluated, and
+	// only they feed the diagnostic counters. Scenarios 2 and 3 are live;
+	// their Evaluated/Skipped split is schedule-dependent, their sum
+	// (Survivors) is not.
+	m := metrics(t, srv)
+	if m["warlockd_job_scenarios_completed_total"]+int64(st.Progress.ScenariosResumed) != int64(st.Progress.ScenariosTotal) {
+		t.Fatalf("resumed+evaluated != total: counter=%d progress=%+v", m["warlockd_job_scenarios_completed_total"], st.Progress)
+	}
+	var survivors, panics int64
+	for _, i := range []int{2, 3} {
+		survivors += int64(results[i].PruneStats.Survivors)
+		panics += int64(len(results[i].Faults))
+	}
+	evaluated, skipped := m["warlockd_prune_evaluated_total"], m["warlockd_prune_skipped_total"]
+	if evaluated+skipped != survivors || m["warlockd_eval_panics_total"] != panics {
+		t.Fatalf("diagnostics count replayed scenarios: evaluated=%d skipped=%d panics=%d, want evaluated+skipped=%d panics=%d",
+			evaluated, skipped, m["warlockd_eval_panics_total"], survivors, panics)
+	}
+	if p := st.Progress; int64(p.PruneEvaluated) != evaluated || int64(p.PruneSkipped) != skipped {
+		t.Fatalf("job progress prune %d/%d, metrics %d/%d", p.PruneEvaluated, p.PruneSkipped, evaluated, skipped)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + fp + "/result")
@@ -723,12 +744,12 @@ func TestJobAnsweredFromCacheReportsFullProgress(t *testing.T) {
 				t.Fatalf("progress %d/%d, want %d/%d", st.Progress.ScenariosDone,
 					st.Progress.ScenariosTotal, tc.scenarios, tc.scenarios)
 			}
-			m := srv.Metrics()
-			if m.Evaluations != 1 {
-				t.Fatalf("evaluations = %d: the job was not answered from the cache", m.Evaluations)
+			m := metrics(t, srv)
+			if m["warlockd_evaluations_total"] != 1 {
+				t.Fatalf("evaluations = %d: the job was not answered from the cache", m["warlockd_evaluations_total"])
 			}
-			if m.Jobs.ScenariosCompleted != int64(tc.scenarios) {
-				t.Fatalf("scenarios completed = %d, want %d", m.Jobs.ScenariosCompleted, tc.scenarios)
+			if m["warlockd_job_scenarios_completed_total"] != int64(tc.scenarios) {
+				t.Fatalf("scenarios completed = %d, want %d", m["warlockd_job_scenarios_completed_total"], tc.scenarios)
 			}
 		})
 	}
@@ -804,8 +825,8 @@ func TestJobResultKeepsOverloadTaxonomy(t *testing.T) {
 			if resp.Header.Get("Retry-After") == "" {
 				t.Fatal("overloaded job result missing Retry-After")
 			}
-			if m := srv.Metrics(); m.Shed != 0 || m.Timeouts != 0 {
-				t.Fatalf("job failure counted as synchronous overload: shed=%d timeouts=%d", m.Shed, m.Timeouts)
+			if m := metrics(t, srv); m["warlockd_shed_total"] != 0 || m["warlockd_timeouts_total"] != 0 {
+				t.Fatalf("job failure counted as synchronous overload: shed=%d timeouts=%d", m["warlockd_shed_total"], m["warlockd_timeouts_total"])
 			}
 
 			unblock()

@@ -64,8 +64,8 @@ func TestRequestTimeoutCancelsEvaluation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("request deadline did not cancel the evaluation context")
 	}
-	m := srv.Metrics()
-	if m.Timeouts != 1 || m.ClientGone != 0 || m.Shed != 0 {
+	m := metrics(t, srv)
+	if m["warlockd_timeouts_total"] != 1 || m["warlockd_client_gone_total"] != 0 || m["warlockd_shed_total"] != 0 {
 		t.Fatalf("timeout accounting: %+v", m)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -89,11 +89,11 @@ func TestExpiredDeadlineStopsRealPipeline(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("expired-deadline advise: %d %s, want 504", code, b)
 	}
-	if m := srv.Metrics(); m.Timeouts != 1 {
-		t.Fatalf("timeouts = %d, want 1 (metrics %+v)", m.Timeouts, m)
+	if m := metrics(t, srv); m["warlockd_timeouts_total"] != 1 {
+		t.Fatalf("timeouts = %d, want 1 (metrics %+v)", m["warlockd_timeouts_total"], m)
 	}
 	// The aborted advisory must not leave a (partial) cache entry behind.
-	if m := srv.Metrics(); m.AdviseEntries != 0 {
+	if m := metrics(t, srv); m["warlockd_advise_cache_entries"] != 0 {
 		t.Fatalf("aborted advisory left a cache entry: %+v", m)
 	}
 }
@@ -134,7 +134,7 @@ func TestClientDisconnectCancelsLoneEvaluation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("client departure did not cancel the lone evaluation")
 	}
-	waitFor(t, "client-gone accounting", func() bool { return srv.Metrics().ClientGone == 1 })
+	waitFor(t, "client-gone accounting", func() bool { return metrics(t, srv)["warlockd_client_gone_total"] == 1 })
 }
 
 // TestQueueTimeout: a request that cannot get an evaluation slot within
@@ -179,12 +179,12 @@ func TestQueueTimeout(t *testing.T) {
 	if code := <-aDone; code != http.StatusOK {
 		t.Fatalf("leader failed: %d", code)
 	}
-	m := srv.Metrics()
-	if m.Evaluations != 1 {
+	m := metrics(t, srv)
+	if m["warlockd_evaluations_total"] != 1 {
 		t.Fatalf("queue-timed-out request still evaluated: %+v", m)
 	}
-	if m.Timeouts != 1 {
-		t.Fatalf("timeouts = %d, want 1 (metrics %+v)", m.Timeouts, m)
+	if m["warlockd_timeouts_total"] != 1 {
+		t.Fatalf("timeouts = %d, want 1 (metrics %+v)", m["warlockd_timeouts_total"], m)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestMaxQueueSheds(t *testing.T) {
 		code, _, _ := post(t, ts, "/v1/advise", encodeDoc(t, tinyDoc(200_000)))
 		results <- code
 	}()
-	waitFor(t, "B to queue", func() bool { return srv.Metrics().QueueDepth == 1 })
+	waitFor(t, "B to queue", func() bool { return metrics(t, srv)["warlockd_queue_depth"] == 1 })
 
 	// C must be shed instantly even though the semaphore is saturated.
 	start := time.Now()
@@ -243,12 +243,12 @@ func TestMaxQueueSheds(t *testing.T) {
 			t.Fatalf("held/queued request %d failed: %d", i, code)
 		}
 	}
-	m := srv.Metrics()
-	if m.Shed != 1 {
-		t.Fatalf("shed = %d, want 1 (metrics %+v)", m.Shed, m)
+	m := metrics(t, srv)
+	if m["warlockd_shed_total"] != 1 {
+		t.Fatalf("shed = %d, want 1 (metrics %+v)", m["warlockd_shed_total"], m)
 	}
-	if m.Evaluations != 2 {
-		t.Fatalf("evaluations = %d, want 2 (A and B only; metrics %+v)", m.Evaluations, m)
+	if m["warlockd_evaluations_total"] != 2 {
+		t.Fatalf("evaluations = %d, want 2 (A and B only; metrics %+v)", m["warlockd_evaluations_total"], m)
 	}
 }
 
@@ -304,7 +304,7 @@ func TestCoalescedFlightSurvivesDepartingWaiter(t *testing.T) {
 
 	// The flight must still be live: the leader's evaluation context was
 	// not cancelled by B's departure.
-	waitFor(t, "waiter accounting", func() bool { return srv.Metrics().ClientGone == 1 })
+	waitFor(t, "waiter accounting", func() bool { return metrics(t, srv)["warlockd_client_gone_total"] == 1 })
 	srv.advise.flight.mu.Lock()
 	f := srv.advise.flight.flights[fp]
 	srv.advise.flight.mu.Unlock()
@@ -316,9 +316,9 @@ func TestCoalescedFlightSurvivesDepartingWaiter(t *testing.T) {
 	if code := <-aDone; code != http.StatusOK {
 		t.Fatalf("leader failed after waiter departed: %d", code)
 	}
-	m := srv.Metrics()
-	if m.Evaluations != 1 {
-		t.Fatalf("evaluations = %d, want 1 (metrics %+v)", m.Evaluations, m)
+	m := metrics(t, srv)
+	if m["warlockd_evaluations_total"] != 1 {
+		t.Fatalf("evaluations = %d, want 1 (metrics %+v)", m["warlockd_evaluations_total"], m)
 	}
 	// The leader's result stayed cached for later requests.
 	code, state, _ := post(t, ts, "/v1/advise", body)

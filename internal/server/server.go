@@ -33,6 +33,13 @@
 // cold response for any document with the same fingerprint: requests are
 // evaluated in canonical form, and the cache stores exactly the bytes a
 // cold evaluation produced.
+//
+// GET /metrics renders one ordered table of counters and gauges
+// (Server.metricsTable) plus the per-endpoint stage histograms. Counters
+// are incremented where the counted event happens and cover this
+// process only: a job resumed after a restart adds the prune and panic
+// counts of the scenarios it evaluates, never those of replayed
+// checkpoints. Gauges are read from the state they describe.
 package server
 
 import (
@@ -179,60 +186,6 @@ type Config struct {
 	Faults *faults.Registry
 }
 
-// Metrics is a snapshot of the service counters (also rendered by
-// GET /metrics).
-type Metrics struct {
-	// Requests counts advisory requests (/v1/advise + /v1/sweep),
-	// excluding health and metrics probes.
-	Requests int64
-	// CacheHits counts responses replayed from the response cache.
-	CacheHits int64
-	// CacheMisses counts requests that triggered a pipeline evaluation.
-	CacheMisses int64
-	// Coalesced counts requests that joined another request's in-flight
-	// evaluation instead of running their own.
-	Coalesced int64
-	// Evaluations counts pipeline runs actually performed; with
-	// coalescing and caching this can be far below Requests.
-	Evaluations int64
-	// Timeouts counts requests that hit RequestTimeout (504) or
-	// QueueTimeout (503) before an advisory could be delivered.
-	Timeouts int64
-	// Shed counts requests rejected by the MaxQueue bound (503 +
-	// Retry-After) without touching the evaluation semaphore.
-	Shed int64
-	// ClientGone counts requests whose client disconnected before the
-	// advisory completed (408).
-	ClientGone int64
-	// InFlight is the number of evaluations currently running or queued
-	// on the concurrency limiter.
-	InFlight int64
-	// QueueDepth is the number of evaluations currently waiting for a
-	// semaphore slot (always <= MaxQueue when that bound is set).
-	QueueDepth int64
-	// PruneEvaluated / PruneSkipped aggregate the pipeline's
-	// branch-and-bound work split over every advisory run by this server
-	// (advise candidates plus sweep scenarios). Diagnostic only.
-	PruneEvaluated int64
-	PruneSkipped   int64
-	// EvalPanics counts per-candidate evaluation panics the pipeline
-	// isolated (exported as warlockd_eval_panics_total): each one is a
-	// candidate that would have crashed the daemon without isolation.
-	EvalPanics int64
-	// SchemaHits / SchemaMisses count interned-schema cache lookups.
-	SchemaHits   int64
-	SchemaMisses int64
-	// AdviseEntries / SweepEntries / SchemaEntries are current cache
-	// sizes.
-	AdviseEntries int
-	SweepEntries  int
-	SchemaEntries int
-	// Jobs is a snapshot of the asynchronous job manager's counters and
-	// gauges; JobsStored is the current store size (any state).
-	Jobs       jobs.Totals
-	JobsStored int
-}
-
 // schemaEntry is one interned schema identity: the canonical
 // *schema.Star every same-schema request is rewritten to, plus the
 // evaluation cache keyed off that pointer.
@@ -274,8 +227,16 @@ type Server struct {
 	// observe cancellation deterministically.
 	evalHook func(context.Context)
 
-	cmu sync.Mutex // counters; coarse is fine at advisory request rates
-	c   Metrics
+	// The lifetime counters behind the /metrics *_total series (see
+	// metricsTable), each incremented where the counted event happens.
+	// requests counts advisory requests (probes excluded); evaluations
+	// counts pipeline runs, which caching and coalescing keep below it;
+	// timeouts counts 504s and queue-timeout 503s, shed the MaxQueue
+	// 503s, clientGone the 408s of departed clients.
+	requests, cacheHits, cacheMisses, coalesced, evaluations atomic.Int64
+	timeouts, shed, clientGone                               atomic.Int64
+	pruneEvaluated, pruneSkipped, evalPanics                 atomic.Int64
+	schemaHits, schemaMisses                                 atomic.Int64
 }
 
 // New returns a ready-to-serve advisory service.
@@ -313,7 +274,7 @@ func New(cfg Config) *Server {
 		faults:        cfg.Faults,
 	}
 	s.advise = &endpoint{kind: kindAdvise, parse: s.parseAdvise, cache: lru.New[string, []byte](cacheSize)}
-	s.sweep = &endpoint{kind: kindSweep, parse: parseSweep, cache: lru.New[string, []byte](cacheSize)}
+	s.sweep = &endpoint{kind: kindSweep, parse: s.parseSweep, cache: lru.New[string, []byte](cacheSize)}
 	maxRunning := cfg.MaxRunningJobs
 	if maxRunning <= 0 {
 		// At least one evaluation slot stays out of the job pool's reach,
@@ -360,27 +321,6 @@ func (s *Server) Close() {
 	s.cancel()
 }
 
-// Metrics returns a snapshot of the service counters.
-func (s *Server) Metrics() Metrics {
-	s.cmu.Lock()
-	m := s.c
-	s.cmu.Unlock()
-	m.QueueDepth = s.queued.Load()
-	m.Jobs = s.jobs.Totals()
-	m.JobsStored = s.jobs.Len()
-	s.mu.Lock()
-	m.AdviseEntries, m.SweepEntries = s.advise.cache.Len(), s.sweep.cache.Len()
-	m.SchemaEntries = s.schemas.Len()
-	s.mu.Unlock()
-	return m
-}
-
-func (s *Server) count(f func(*Metrics)) {
-	s.cmu.Lock()
-	f(&s.c)
-	s.cmu.Unlock()
-}
-
 // The advisory kinds: route /v1/{kind}, job kind and /metrics label.
 const kindAdvise, kindSweep = "advise", "sweep"
 
@@ -411,12 +351,19 @@ type request struct {
 // runFunc runs the pipeline on a built, interned input.
 type runFunc func(context.Context) (outcome, error)
 
-// outcome is a finished pipeline run: its Metrics diagnostics, whether
-// it is partial (and so never cached), and its serializer.
+// outcome is a finished pipeline run: whether it is partial (and so
+// never cached), and its serializer.
 type outcome struct {
-	pruneEvaluated, pruneSkipped, panics int
-	partial                              bool
-	marshal                              func() ([]byte, error)
+	partial bool
+	marshal func() ([]byte, error)
+}
+
+// countDiagnostics adds one advisory this process evaluated to the
+// pruning and panic counters.
+func (s *Server) countDiagnostics(res *core.Result) {
+	s.pruneEvaluated.Add(int64(res.PruneStats.Evaluated))
+	s.pruneSkipped.Add(int64(res.PruneStats.Skipped))
+	s.evalPanics.Add(int64(len(res.Faults)))
 }
 
 func (s *Server) parseAdvise(body io.Reader) (*request, error) {
@@ -440,8 +387,10 @@ func (s *Server) parseAdvise(body io.Reader) (*request, error) {
 			if err != nil {
 				return outcome{}, err
 			}
-			return outcome{res.PruneStats.Evaluated, res.PruneStats.Skipped, len(res.Faults), res.Partial,
-				func() ([]byte, error) { return json.MarshalIndent(buildAdviseResponse(fp, in, res), "", "  ") }}, nil
+			s.countDiagnostics(res)
+			return outcome{res.Partial, func() ([]byte, error) {
+				return json.MarshalIndent(buildAdviseResponse(fp, in, res), "", "  ")
+			}}, nil
 		}, nil
 	}}, nil
 }
@@ -449,7 +398,9 @@ func (s *Server) parseAdvise(body io.Reader) (*request, error) {
 // parseSweep never sets AllowPartial: sweep.Run fails the whole run on
 // cancellation, so a sweep response is never partial. A job's sweep also
 // resumes, streams progress and checkpoints; its bytes are the same.
-func parseSweep(body io.Reader) (*request, error) {
+// Scenarios replayed from checkpoints carry no Result and so add nothing
+// to the diagnostic counters.
+func (s *Server) parseSweep(body io.Reader) (*request, error) {
 	doc, err := config.ParseSweep(body)
 	if err != nil {
 		return nil, err
@@ -469,7 +420,12 @@ func parseSweep(body io.Reader) (*request, error) {
 			if err != nil {
 				return outcome{}, err
 			}
-			return outcome{rep.PruneEvaluated, rep.PruneSkipped, rep.EvalPanics, false, func() ([]byte, error) {
+			for _, sr := range rep.Scenarios {
+				if sr.Result != nil {
+					s.countDiagnostics(sr.Result)
+				}
+			}
+			return outcome{false, func() ([]byte, error) {
 				var buf bytes.Buffer
 				err := rep.WriteJSON(&buf)
 				return buf.Bytes(), err
@@ -489,7 +445,7 @@ func (s *Server) serve(ep *endpoint) http.HandlerFunc {
 			s.writeError(w, r, errorClass{http.StatusMethodNotAllowed, CodeMethodNotAllowed, 0, errors.New("POST required")})
 			return
 		}
-		s.count(func(m *Metrics) { m.Requests++ })
+		s.requests.Add(1)
 		start := time.Now()
 		reqCtx := r.Context()
 		if s.reqTimeout > 0 {
@@ -516,7 +472,7 @@ func (s *Server) serve(ep *endpoint) http.HandlerFunc {
 		fp = req.fp
 
 		if b, ok := s.cacheGet(ep.cache, fp); ok {
-			s.count(func(m *Metrics) { m.CacheHits++ })
+			s.cacheHits.Add(1)
 			state = "hit"
 			writeJSON(w, b, state)
 			return
@@ -525,7 +481,7 @@ func (s *Server) serve(ep *endpoint) http.HandlerFunc {
 		run := func(ctx context.Context) ([]byte, error) { return s.lead(ctx, ep, req, st, nil) }
 		b, err, joined := ep.flight.Do(reqCtx, s.baseCtx, fp, run)
 		if joined {
-			s.count(func(m *Metrics) { m.Coalesced++ })
+			s.coalesced.Add(1)
 		}
 		if isCtxErr(err) && reqCtx.Err() == nil && s.baseCtx.Err() == nil {
 			// The flight this caller joined was cancelled because all of its
@@ -553,10 +509,10 @@ func (s *Server) serve(ep *endpoint) http.HandlerFunc {
 // of an already-cached response. st receives the stage durations.
 func (s *Server) lead(ctx context.Context, ep *endpoint, req *request, st *stageTimes, j *jobs.Job) ([]byte, error) {
 	if b, ok := s.cacheGet(ep.cache, req.fp); ok {
-		s.count(func(m *Metrics) { m.CacheHits++ })
+		s.cacheHits.Add(1)
 		return b, nil
 	}
-	s.count(func(m *Metrics) { m.CacheMisses++ })
+	s.cacheMisses.Add(1)
 	in, schemaKey, run, err := req.build(j)
 	if err != nil {
 		return nil, err
@@ -572,7 +528,7 @@ func (s *Server) lead(ctx context.Context, ep *endpoint, req *request, st *stage
 	st.queue = time.Since(qt)
 	ep.stats.queue.observe(st.queue)
 	defer s.release()
-	s.count(func(m *Metrics) { m.Evaluations++ })
+	s.evaluations.Add(1)
 	if s.evalHook != nil {
 		s.evalHook(ctx)
 	}
@@ -586,11 +542,6 @@ func (s *Server) lead(ctx context.Context, ep *endpoint, req *request, st *stage
 	if err != nil {
 		return nil, err
 	}
-	s.count(func(m *Metrics) {
-		m.PruneEvaluated += int64(out.pruneEvaluated)
-		m.PruneSkipped += int64(out.pruneSkipped)
-		m.EvalPanics += int64(out.panics)
-	})
 	mt := time.Now()
 	b, err := out.marshal()
 	if err != nil {
@@ -630,39 +581,65 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !s.allowGetHead(w, r) {
 		return
 	}
-	m := s.Metrics()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "warlockd_requests_total %d\n", m.Requests)
-	fmt.Fprintf(w, "warlockd_cache_hits_total %d\n", m.CacheHits)
-	fmt.Fprintf(w, "warlockd_cache_misses_total %d\n", m.CacheMisses)
-	fmt.Fprintf(w, "warlockd_coalesced_total %d\n", m.Coalesced)
-	fmt.Fprintf(w, "warlockd_evaluations_total %d\n", m.Evaluations)
-	fmt.Fprintf(w, "warlockd_timeouts_total %d\n", m.Timeouts)
-	fmt.Fprintf(w, "warlockd_shed_total %d\n", m.Shed)
-	fmt.Fprintf(w, "warlockd_client_gone_total %d\n", m.ClientGone)
-	fmt.Fprintf(w, "warlockd_prune_evaluated_total %d\n", m.PruneEvaluated)
-	fmt.Fprintf(w, "warlockd_prune_skipped_total %d\n", m.PruneSkipped)
-	fmt.Fprintf(w, "warlockd_eval_panics_total %d\n", m.EvalPanics)
-	fmt.Fprintf(w, "warlockd_in_flight %d\n", m.InFlight)
-	fmt.Fprintf(w, "warlockd_queue_depth %d\n", m.QueueDepth)
-	fmt.Fprintf(w, "warlockd_schema_cache_hits_total %d\n", m.SchemaHits)
-	fmt.Fprintf(w, "warlockd_schema_cache_misses_total %d\n", m.SchemaMisses)
-	fmt.Fprintf(w, "warlockd_advise_cache_entries %d\n", m.AdviseEntries)
-	fmt.Fprintf(w, "warlockd_sweep_cache_entries %d\n", m.SweepEntries)
-	fmt.Fprintf(w, "warlockd_schema_cache_entries %d\n", m.SchemaEntries)
-	fmt.Fprintf(w, "warlockd_jobs_total{state=%q} %d\n", jobs.StateQueued, m.Jobs.Queued)
-	fmt.Fprintf(w, "warlockd_jobs_total{state=%q} %d\n", jobs.StateRunning, m.Jobs.Running)
-	fmt.Fprintf(w, "warlockd_jobs_total{state=%q} %d\n", jobs.StateDone, m.Jobs.Done)
-	fmt.Fprintf(w, "warlockd_jobs_total{state=%q} %d\n", jobs.StateFailed, m.Jobs.Failed)
-	fmt.Fprintf(w, "warlockd_jobs_total{state=%q} %d\n", jobs.StateCancelled, m.Jobs.Cancelled)
-	fmt.Fprintf(w, "warlockd_jobs_submitted_total %d\n", m.Jobs.Submitted)
-	fmt.Fprintf(w, "warlockd_jobs_coalesced_total %d\n", m.Jobs.Coalesced)
-	fmt.Fprintf(w, "warlockd_job_scenarios_completed_total %d\n", m.Jobs.ScenariosCompleted)
-	fmt.Fprintf(w, "warlockd_job_retries_total %d\n", m.Jobs.Retries)
-	fmt.Fprintf(w, "warlockd_job_checkpoint_failures_total %d\n", m.Jobs.CheckpointFailures)
-	fmt.Fprintf(w, "warlockd_jobs_stored %d\n", m.JobsStored)
+	for _, m := range s.metricsTable() {
+		fmt.Fprintf(w, "%s %d\n", m.name, m.value())
+	}
 	for _, ep := range s.endpoints() {
 		ep.stats.write(w, "warlockd_request_stage_seconds", ep.kind)
+	}
+}
+
+// series is one /metrics line: its name with labels, and its value.
+type series struct {
+	name  string
+	value func() int64
+}
+
+// metricsTable lists the /metrics counters and gauges in exposition
+// order: counters are the atomics incremented where the work happens,
+// gauges are read from the state they describe.
+func (s *Server) metricsTable() []series {
+	jt := s.jobs.Totals()
+	state := func(st jobs.State) func() int64 { return func() int64 { return s.jobs.Count(st) } }
+	entries := func(c interface{ Len() int }) func() int64 {
+		return func() int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(c.Len())
+		}
+	}
+	return []series{
+		{"warlockd_requests_total", s.requests.Load},
+		{"warlockd_cache_hits_total", s.cacheHits.Load},
+		{"warlockd_cache_misses_total", s.cacheMisses.Load},
+		{"warlockd_coalesced_total", s.coalesced.Load},
+		{"warlockd_evaluations_total", s.evaluations.Load},
+		{"warlockd_timeouts_total", s.timeouts.Load},
+		{"warlockd_shed_total", s.shed.Load},
+		{"warlockd_client_gone_total", s.clientGone.Load},
+		{"warlockd_prune_evaluated_total", s.pruneEvaluated.Load},
+		{"warlockd_prune_skipped_total", s.pruneSkipped.Load},
+		{"warlockd_eval_panics_total", s.evalPanics.Load},
+		// Running evaluations hold a semaphore slot; queued ones wait.
+		{"warlockd_in_flight", func() int64 { return int64(len(s.sem)) + s.queued.Load() }},
+		{"warlockd_queue_depth", s.queued.Load},
+		{"warlockd_schema_cache_hits_total", s.schemaHits.Load},
+		{"warlockd_schema_cache_misses_total", s.schemaMisses.Load},
+		{"warlockd_advise_cache_entries", entries(s.advise.cache)},
+		{"warlockd_sweep_cache_entries", entries(s.sweep.cache)},
+		{"warlockd_schema_cache_entries", entries(s.schemas)},
+		{`warlockd_jobs_total{state="queued"}`, state(jobs.StateQueued)},
+		{`warlockd_jobs_total{state="running"}`, state(jobs.StateRunning)},
+		{`warlockd_jobs_total{state="done"}`, jt.Done.Load},
+		{`warlockd_jobs_total{state="failed"}`, jt.Failed.Load},
+		{`warlockd_jobs_total{state="cancelled"}`, jt.Cancelled.Load},
+		{"warlockd_jobs_submitted_total", jt.Submitted.Load},
+		{"warlockd_jobs_coalesced_total", jt.Coalesced.Load},
+		{"warlockd_job_scenarios_completed_total", jt.ScenariosCompleted.Load},
+		{"warlockd_job_retries_total", jt.Retries.Load},
+		{"warlockd_job_checkpoint_failures_total", jt.CheckpointFailures.Load},
+		{"warlockd_jobs_stored", func() int64 { return int64(s.jobs.Len()) }},
 	}
 }
 
@@ -695,13 +672,13 @@ func (s *Server) internSchema(key string, star *schema.Star) (*schema.Star, *cos
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.schemas.Get(key); ok {
-		s.count(func(m *Metrics) { m.SchemaHits++ })
+		s.schemaHits.Add(1)
 		if e.cache.Geometries()+e.cache.Shares() > maxCachedEntries {
 			e.cache = costmodel.NewCache()
 		}
 		return e.star, e.cache
 	}
-	s.count(func(m *Metrics) { m.SchemaMisses++ })
+	s.schemaMisses.Add(1)
 	e := &schemaEntry{star: star, cache: costmodel.NewCache()}
 	s.schemas.Add(key, e)
 	return e.star, e.cache
@@ -714,17 +691,9 @@ func (s *Server) internSchema(key string, star *schema.Star) (*schema.Star, *cos
 // without ever touching the semaphore — and QueueTimeout bounds how
 // long one evaluation may wait for a slot.
 func (s *Server) acquire(ctx context.Context) error {
-	s.count(func(m *Metrics) { m.InFlight++ })
-	ok := false
-	defer func() {
-		if !ok {
-			s.count(func(m *Metrics) { m.InFlight-- })
-		}
-	}()
 	// Fast path: a free slot means no queueing, so neither bound applies.
 	select {
 	case s.sem <- struct{}{}:
-		ok = true
 		return nil
 	default:
 	}
@@ -741,7 +710,6 @@ func (s *Server) acquire(ctx context.Context) error {
 	}
 	select {
 	case s.sem <- struct{}{}:
-		ok = true
 		return nil
 	case <-s.baseCtx.Done():
 		return s.baseCtx.Err()
@@ -753,10 +721,7 @@ func (s *Server) acquire(ctx context.Context) error {
 	}
 }
 
-func (s *Server) release() {
-	<-s.sem
-	s.count(func(m *Metrics) { m.InFlight-- })
-}
+func (s *Server) release() { <-s.sem }
 
 func (s *Server) cacheGet(c *lru.Cache[string, []byte], key string) ([]byte, bool) {
 	s.mu.Lock()
@@ -827,16 +792,14 @@ func (s *Server) advisoryErrorClass(reqCtx context.Context, err error) errorClas
 // counts the operational failures.
 func (s *Server) writeAdvisoryError(w http.ResponseWriter, r *http.Request, reqCtx context.Context, err error) int {
 	c := s.advisoryErrorClass(reqCtx, err)
-	s.count(func(m *Metrics) {
-		switch c.code {
-		case CodeShed:
-			m.Shed++
-		case CodeQueueTimeout, CodeDeadline:
-			m.Timeouts++
-		case CodeClientGone:
-			m.ClientGone++
-		}
-	})
+	switch c.code {
+	case CodeShed:
+		s.shed.Add(1)
+	case CodeQueueTimeout, CodeDeadline:
+		s.timeouts.Add(1)
+	case CodeClientGone:
+		s.clientGone.Add(1)
+	}
 	return s.writeError(w, r, c)
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +64,26 @@ func post(t *testing.T, ts *httptest.Server, path string, body []byte) (int, str
 		t.Fatal(err)
 	}
 	return resp.StatusCode, resp.Header.Get("X-Warlock-Cache"), b
+}
+
+// metrics reads the counters and gauges of srv's /metrics exposition by
+// series name (labels included); histogram lines with fractional values
+// are left out.
+func metrics(t testing.TB, srv *Server) map[string]int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	m := map[string]int64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if v, err := strconv.ParseInt(line[i+1:], 10, 64); i > 0 && err == nil {
+			m[line[:i]] = v
+		}
+	}
+	if len(m) == 0 {
+		t.Fatalf("no metrics in:\n%s", rec.Body.String())
+	}
+	return m
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -138,8 +159,8 @@ func TestAdviseCacheByteIdentical(t *testing.T) {
 		t.Fatal("cached response is not byte-identical to the cold response")
 	}
 
-	m := srv.Metrics()
-	if m.CacheHits != 1 || m.CacheMisses != 1 || m.Evaluations != 1 {
+	m := metrics(t, srv)
+	if m["warlockd_cache_hits_total"] != 1 || m["warlockd_cache_misses_total"] != 1 || m["warlockd_evaluations_total"] != 1 {
 		t.Fatalf("metrics after cold+warm: %+v", m)
 	}
 }
@@ -156,7 +177,7 @@ func TestAdviseReorderedDocumentHitsCache(t *testing.T) {
 	if code != http.StatusOK || state != "hit" {
 		t.Fatalf("reordered doc: code=%d state=%q, want cache hit", code, state)
 	}
-	if m := srv.Metrics(); m.Evaluations != 1 {
+	if m := metrics(t, srv); m["warlockd_evaluations_total"] != 1 {
 		t.Fatalf("reordered doc re-evaluated: %+v", m)
 	}
 }
@@ -207,18 +228,18 @@ func TestAdviseCoalescing(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	m := srv.Metrics()
-	if m.Evaluations != 1 {
-		t.Fatalf("%d concurrent identical requests ran %d evaluations, want 1 (metrics %+v)", n, m.Evaluations, m)
+	m := metrics(t, srv)
+	if m["warlockd_evaluations_total"] != 1 {
+		t.Fatalf("%d concurrent identical requests ran %d evaluations, want 1 (metrics %+v)", n, m["warlockd_evaluations_total"], m)
 	}
-	if m.Requests != n {
-		t.Fatalf("requests counter = %d, want %d", m.Requests, n)
+	if m["warlockd_requests_total"] != n {
+		t.Fatalf("requests counter = %d, want %d", m["warlockd_requests_total"], n)
 	}
 	// Every request is accounted exactly once: a direct cache hit, a
 	// coalesced join, or a flight leader (hit or miss inside the flight).
-	if m.CacheHits+m.CacheMisses+m.Coalesced != n {
+	if m["warlockd_cache_hits_total"]+m["warlockd_cache_misses_total"]+m["warlockd_coalesced_total"] != n {
 		t.Fatalf("counter accounting: hits %d + misses %d + coalesced %d != %d",
-			m.CacheHits, m.CacheMisses, m.Coalesced, n)
+			m["warlockd_cache_hits_total"], m["warlockd_cache_misses_total"], m["warlockd_coalesced_total"], n)
 	}
 	for i := 1; i < n; i++ {
 		if !bytes.Equal(bodies[0], bodies[i]) {
@@ -244,7 +265,7 @@ func TestAdviseEvictionRecomputesIdentically(t *testing.T) {
 	if !bytes.Equal(first, again) {
 		t.Fatal("re-evaluated advisory differs from the original")
 	}
-	if m := srv.Metrics(); m.Evaluations != 3 || m.AdviseEntries != 1 {
+	if m := metrics(t, srv); m["warlockd_evaluations_total"] != 3 || m["warlockd_advise_cache_entries"] != 1 {
 		t.Fatalf("eviction metrics: %+v", m)
 	}
 }
@@ -262,15 +283,15 @@ func TestSchemaStateShared(t *testing.T) {
 	post(t, ts, "/v1/advise", encodeDoc(t, b))
 	post(t, ts, "/v1/advise", encodeDoc(t, c))
 
-	m := srv.Metrics()
-	if m.Evaluations != 3 {
+	m := metrics(t, srv)
+	if m["warlockd_evaluations_total"] != 3 {
 		t.Fatalf("three distinct advisories expected: %+v", m)
 	}
-	if m.SchemaMisses != 2 || m.SchemaHits != 1 {
-		t.Fatalf("schema interning: hits=%d misses=%d, want 1/2 (a,b share; c distinct)", m.SchemaHits, m.SchemaMisses)
+	if m["warlockd_schema_cache_misses_total"] != 2 || m["warlockd_schema_cache_hits_total"] != 1 {
+		t.Fatalf("schema interning: hits=%d misses=%d, want 1/2 (a,b share; c distinct)", m["warlockd_schema_cache_hits_total"], m["warlockd_schema_cache_misses_total"])
 	}
-	if m.SchemaEntries != 2 {
-		t.Fatalf("schema cache entries = %d, want 2", m.SchemaEntries)
+	if m["warlockd_schema_cache_entries"] != 2 {
+		t.Fatalf("schema cache entries = %d, want 2", m["warlockd_schema_cache_entries"])
 	}
 }
 
@@ -316,7 +337,7 @@ func TestSweepEndpointCachedByteIdentical(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("cached sweep response is not byte-identical")
 	}
-	if m := srv.Metrics(); m.SweepEntries != 1 || m.CacheHits != 1 {
+	if m := metrics(t, srv); m["warlockd_sweep_cache_entries"] != 1 || m["warlockd_cache_hits_total"] != 1 {
 		t.Fatalf("sweep metrics: %+v", m)
 	}
 }
@@ -469,8 +490,8 @@ func BenchmarkAdviseWarmCache(b *testing.B) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
-	if m := srv.Metrics(); m.Evaluations != 1 {
-		b.Fatalf("warm benchmark ran %d evaluations", m.Evaluations)
+	if m := metrics(b, srv); m["warlockd_evaluations_total"] != 1 {
+		b.Fatalf("warm benchmark ran %d evaluations", m["warlockd_evaluations_total"])
 	}
 }
 

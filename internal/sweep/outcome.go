@@ -15,19 +15,13 @@ import (
 // per completed scenario for exactly this purpose.
 //
 // JSON field names are part of the on-disk checkpoint format; changing
-// them invalidates existing job checkpoints.
+// them invalidates existing job checkpoints. The format carries no
+// diagnostics: older lines that still hold hasResult, pruneEvaluated,
+// pruneSkipped or evalPanics decode as before, those fields ignored.
 type Outcome struct {
 	// Failed reports an advisory error; Err carries its message.
 	Failed bool   `json:"failed,omitempty"`
 	Err    string `json:"err,omitempty"`
-	// HasResult mirrors "the advisory produced a result"; prune stats
-	// are meaningful only when set.
-	HasResult      bool `json:"hasResult,omitempty"`
-	PruneEvaluated int  `json:"pruneEvaluated,omitempty"`
-	PruneSkipped   int  `json:"pruneSkipped,omitempty"`
-	// EvalPanics counts candidates whose evaluation panicked and was
-	// isolated (len of core.Result.Faults). Additive omitempty field.
-	EvalPanics int `json:"evalPanics,omitempty"`
 	// HasWinner reports a successful advisory with a ranked winner; the
 	// remaining fields describe that winner.
 	HasWinner  bool   `json:"hasWinner,omitempty"`
@@ -43,28 +37,23 @@ type Outcome struct {
 // outcomeOf derives the checkpointable summary from one scenario's
 // advisory (the scenario's input schema names the winner).
 func outcomeOf(sc *Scenario, res *core.Result, err error) Outcome {
-	var o Outcome
 	if err != nil {
-		o.Failed = true
-		o.Err = err.Error()
+		return Outcome{Failed: true, Err: err.Error()}
 	}
-	if res != nil {
-		o.HasResult = true
-		o.PruneEvaluated = res.PruneStats.Evaluated
-		o.PruneSkipped = res.PruneStats.Skipped
-		o.EvalPanics = len(res.Faults)
-		if ev := res.Best(); err == nil && ev != nil {
-			o.HasWinner = true
-			o.Winner = ev.Frag.Name(sc.Input.Schema)
-			o.WinnerKey = ev.Frag.Key()
-			o.Fragments = ev.Geometry.NumFragments()
-			o.AccessNs = int64(ev.AccessCost)
-			o.ResponseNs = int64(ev.ResponseTime)
-			o.Scheme = ev.Placement.Scheme.String()
-			o.CapacityOK = ev.CapacityOK
-		}
+	ev := res.Best()
+	if ev == nil {
+		return Outcome{}
 	}
-	return o
+	return Outcome{
+		HasWinner:  true,
+		Winner:     ev.Frag.Name(sc.Input.Schema),
+		WinnerKey:  ev.Frag.Key(),
+		Fragments:  ev.Geometry.NumFragments(),
+		AccessNs:   int64(ev.AccessCost),
+		ResponseNs: int64(ev.ResponseTime),
+		Scheme:     ev.Placement.Scheme.String(),
+		CapacityOK: ev.CapacityOK,
+	}
 }
 
 // AccessCost returns the winner's I/O cost as a duration.
@@ -84,6 +73,11 @@ type Progress struct {
 	Done, Total int
 	// Outcome is the advisory's checkpointable summary.
 	Outcome Outcome
+	// Result is the advisory this run evaluated: nil for a scenario
+	// replayed from Options.Resume, and for an advisory that failed
+	// without one. Its diagnostics (PruneStats, Faults) describe this
+	// run only; they never enter the Outcome.
+	Result *core.Result
 	// Resumed reports an Outcome replayed from Options.Resume rather
 	// than evaluated in this run.
 	Resumed bool

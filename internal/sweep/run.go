@@ -70,14 +70,6 @@ type Report struct {
 	Scenarios []ScenarioResult
 	// Target is Options.ResponseTarget.
 	Target time.Duration
-	// PruneEvaluated and PruneSkipped aggregate the branch-and-bound
-	// stage's work split over the scenarios. Diagnostic only,
-	// schedule-dependent; deliberately absent from WriteJSON.
-	PruneEvaluated, PruneSkipped int
-	// EvalPanics aggregates isolated per-candidate evaluation panics over
-	// the scenarios (the service's panic metric feeds from it).
-	// Diagnostic only; deliberately absent from WriteJSON.
-	EvalPanics int
 }
 
 // Run expands the grid and advises every scenario exactly once — or
@@ -102,12 +94,12 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 	// Progress accounting; the callback is serialized under pmu.
 	var pmu sync.Mutex
 	done := 0
-	notify := func(i int, o Outcome, resumed bool) {
+	notify := func(i int, o Outcome, res *core.Result, resumed bool) {
 		pmu.Lock()
 		defer pmu.Unlock()
 		done++
 		if opts.OnScenario != nil {
-			opts.OnScenario(Progress{Index: i, Done: done, Total: len(scens), Outcome: o, Resumed: resumed})
+			opts.OnScenario(Progress{Index: i, Done: done, Total: len(scens), Outcome: o, Result: res, Resumed: resumed})
 		}
 	}
 
@@ -126,7 +118,7 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 		if o.Failed {
 			rep.Scenarios[i].Err = errors.New(o.Err)
 		}
-		notify(i, o, true)
+		notify(i, o, nil, true)
 	}
 
 	workers := opts.Workers
@@ -149,7 +141,7 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 				o := outcomeOf(&scens[i], res, err)
 				rep.Scenarios[i] = ScenarioResult{Scenario: scens[i], Result: res, Err: err, Outcome: o}
 				if ctx.Err() == nil {
-					notify(i, o, false)
+					notify(i, o, res, false)
 				}
 			}
 		}()
@@ -167,14 +159,6 @@ func Run(ctx context.Context, base *core.Input, g *Grid, opts Options) (*Report,
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-
-	for i := range rep.Scenarios {
-		if o := &rep.Scenarios[i].Outcome; o.HasResult {
-			rep.PruneEvaluated += o.PruneEvaluated
-			rep.PruneSkipped += o.PruneSkipped
-			rep.EvalPanics += o.EvalPanics
-		}
 	}
 	return rep, nil
 }

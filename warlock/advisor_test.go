@@ -62,12 +62,7 @@ func TestAdvisorMatchesDeprecatedSweep(t *testing.T) {
 		t.Fatalf("scenarios: %d vs %d", len(rep.Scenarios), len(want.Scenarios))
 	}
 	for i := range rep.Scenarios {
-		// PruneEvaluated/PruneSkipped are schedule-dependent diagnostics
-		// (absent from every rendered surface); everything else must match.
-		a, b := rep.Scenarios[i].Outcome, want.Scenarios[i].Outcome
-		a.PruneEvaluated, a.PruneSkipped = 0, 0
-		b.PruneEvaluated, b.PruneSkipped = 0, 0
-		if a != b {
+		if a, b := rep.Scenarios[i].Outcome, want.Scenarios[i].Outcome; a != b {
 			t.Fatalf("scenario %d outcome differs: %+v vs %+v", i, a, b)
 		}
 	}

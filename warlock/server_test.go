@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -51,27 +52,19 @@ func TestEmbeddedServer(t *testing.T) {
 		t.Fatalf("unexpected advisory: %+v", parsed)
 	}
 
-	m := srv.Metrics()
-	if m.Requests != 2 || m.Evaluations != 1 || m.CacheHits != 1 {
-		t.Fatalf("metrics: %+v", m)
-	}
-}
-
-// TestNewHandlerIsPlainHandler proves the http.Handler constructor works
-// without access to the concrete type.
-func TestNewHandlerIsPlainHandler(t *testing.T) {
-	var h http.Handler = warlock.NewHandler(warlock.ServerConfig{})
-	mux := http.NewServeMux()
-	mux.Handle("/advisor/", http.StripPrefix("/advisor", h))
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/advisor/healthz")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz through mounted handler: %d", resp.StatusCode)
+	for _, want := range []string{
+		"warlockd_requests_total 2\n",
+		"warlockd_evaluations_total 1\n",
+		"warlockd_cache_hits_total 1\n",
+	} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("metrics missing %q:\n%s", want, b)
+		}
 	}
 }

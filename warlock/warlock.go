@@ -92,13 +92,12 @@
 //
 // # Advisory service
 //
-// NewServer (or NewHandler, for plain http.Handler wiring) embeds the
-// long-running advisory service that also backs the warlockd binary:
-// POST /v1/advise and /v1/sweep take the CLI's JSON documents and return
-// advisories, with an LRU response cache keyed by the canonical request
-// fingerprint (byte-identical replay), singleflight coalescing of
-// concurrent identical requests, and evaluation state shared per schema
-// identity:
+// NewServer embeds the long-running advisory service that also backs
+// the warlockd binary: POST /v1/advise and /v1/sweep take the CLI's JSON
+// documents and return advisories, with an LRU response cache keyed by
+// the canonical request fingerprint (byte-identical replay), singleflight
+// coalescing of concurrent identical requests, and evaluation state
+// shared per schema identity:
 //
 //	srv := warlock.NewServer(warlock.ServerConfig{CacheSize: 512})
 //	defer srv.Close()
@@ -112,10 +111,12 @@
 // service degrades predictably instead of queueing without bound:
 // MaxQueue caps the number of evaluations waiting for a slot (excess
 // requests are shed with 503 + Retry-After computed from the live
-// queue backlog) and QueueTimeout bounds the wait itself. ServerMetrics
-// counts timeouts, shed requests and departed clients, and /metrics
-// additionally exposes per-endpoint stage latency histograms (parse,
-// queue, evaluate, serialize, total).
+// queue backlog) and QueueTimeout bounds the wait itself. GET /metrics
+// counts timeouts, shed requests and departed clients, and exposes
+// per-endpoint stage latency histograms (parse, queue, evaluate,
+// serialize, total). Its counters cover this process only: a job
+// resumed after a restart adds the pruning and panic counts of the
+// scenarios it evaluates, never those of replayed checkpoints.
 //
 // # Asynchronous jobs
 //
@@ -163,7 +164,6 @@ package warlock
 
 import (
 	"io"
-	"net/http"
 	"time"
 
 	"repro/internal/alloc"
@@ -308,10 +308,6 @@ type (
 	// slow-request logging (SlowRequestThreshold, Logger) and the
 	// asynchronous job store (JobTTL, MaxJobs, MaxRunningJobs, JobsDir).
 	ServerConfig = server.Config
-	// ServerMetrics is a snapshot of the service counters (requests,
-	// cache hits/misses, coalesced requests, evaluations, in-flight,
-	// timeouts, shed requests, departed clients, queue depth).
-	ServerMetrics = server.Metrics
 	// AdviseResponse is the JSON body of a successful /v1/advise call.
 	AdviseResponse = server.AdviseResponse
 )
@@ -320,11 +316,6 @@ type (
 // http.Server and Close it on shutdown to cancel in-flight pipeline
 // evaluations (drain the http.Server first for a graceful stop).
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// NewHandler is NewServer for callers that only need an http.Handler to
-// mount into an existing mux. The handler's lifetime is the process's;
-// use NewServer when you need Close.
-func NewHandler(cfg ServerConfig) http.Handler { return server.New(cfg) }
 
 // Simulation and validation.
 type (
