@@ -217,6 +217,7 @@ func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.
 	ev.BitmapPrefetch = cfg.Disk.EffectiveBitmapPrefetch(bmSuggest)
 
 	ev.PerClass = make([]ClassCost, len(cfg.Mix.Classes))
+	sc.runs = runEnds(sc.runs, g.SizeClasses())
 	for i := range cfg.Mix.Classes {
 		cc := e.evaluateClass(f, g, pl, &sc.plans[i], ev.FactPrefetch, ev.BitmapPrefetch, sc)
 		cc.Weight = e.weights[i]
@@ -227,7 +228,8 @@ func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.
 	return ev, nil
 }
 
-// evaluateClass computes the ClassCost of one class.
+// evaluateClass computes the ClassCost of one class. sc.runs must hold
+// the run ends of g's size classes (runEnds).
 func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometry, pl *alloc.Placement, plan *ClassPlan, factGranule, bmGranule int, sc *Scratch) ClassCost {
 	c := plan.Class
 	cc := ClassCost{Class: c, DiskBusy: make([]time.Duration, pl.Disks)}
@@ -236,25 +238,44 @@ func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometr
 	cc.FragmentsHit = plan.HitProb * float64(n)
 
 	// Size-class kernel: FragmentCost/Seconds once per distinct
-	// (rows, pages) pair, then a per-fragment fold of the precomputed
-	// addends in exact logical fragment order — same values, same
-	// summation order, bit-identical to the naive per-fragment loop
-	// (zero-page classes contribute +0.0, a bitwise no-op on the
-	// non-negative accumulators; cf. kernel_test.go).
+	// (rows, pages) pair, then a fold of the precomputed addends in exact
+	// logical fragment order — same values, same summation order,
+	// bit-identical to the naive per-fragment loop (zero-page classes
+	// contribute +0.0, a bitwise no-op on the non-negative accumulators;
+	// cf. kernel_test.go). The fold goes one run of equal size classes at
+	// a time: a run adds the same addend to each placement-independent
+	// sum, which addN does in a few real adds (runs of foldRunMin or
+	// more), while each fragment's busy time still goes to its own disk,
+	// one add per fragment in fragment order.
 	sz := g.SizeClasses()
 	cls := e.priceSizeClasses(plan, g.PageSize, sz, factGranule, bmGranule, sc)
 	busy := sc.busy[:pl.Disks]
 	clear(busy)
 	var totalBusy float64
-	for v, ci := range sz.ClassOf {
-		k := &cls[ci]
-		cc.SelectedRows += k.sel
-		cc.FactIOs += k.factIOs
-		cc.FactPages += k.factPages
-		cc.BitmapIOs += k.bitmapIOs
-		cc.BitmapPages += k.bitmapPages
-		busy[pl.DiskOf[v]] += k.w
-		totalBusy += k.w
+	start := 0
+	for _, end := range sc.runs {
+		k := &cls[sz.ClassOf[start]]
+		if run := int(end) - start; run >= foldRunMin {
+			cc.SelectedRows = addN(cc.SelectedRows, k.sel, run)
+			cc.FactIOs = addN(cc.FactIOs, k.factIOs, run)
+			cc.FactPages = addN(cc.FactPages, k.factPages, run)
+			cc.BitmapIOs = addN(cc.BitmapIOs, k.bitmapIOs, run)
+			cc.BitmapPages = addN(cc.BitmapPages, k.bitmapPages, run)
+			totalBusy = addN(totalBusy, k.w, run)
+		} else {
+			for range run {
+				cc.SelectedRows += k.sel
+				cc.FactIOs += k.factIOs
+				cc.FactPages += k.factPages
+				cc.BitmapIOs += k.bitmapIOs
+				cc.BitmapPages += k.bitmapPages
+				totalBusy += k.w
+			}
+		}
+		for _, d := range pl.DiskOf[start:end] {
+			busy[d] += k.w
+		}
+		start = int(end)
 	}
 	for d, bz := range busy {
 		cc.DiskBusy[d] = time.Duration(bz * float64(time.Second))

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -244,12 +245,43 @@ func compareClassCost(t *testing.T, label string, got, want ClassCost) {
 
 // TestKernelMatchesNaiveReference is the kernel's core property: over
 // randomized star schemas (uniform and skewed dimensions), mixes and disk
-// pools, every per-class output of the size-class kernel is bit-identical
-// to the retained naive per-fragment reference.
+// pools, and over paper-scale APB-1 candidates (24M rows, 64 disks) whose
+// runs of equal size classes are hundreds of fragments long, every
+// per-class output of the size-class kernel is bit-identical to the
+// retained naive per-fragment reference.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	checked := 0
 	var attrChecked [3]int // candidates by attribute count: 0, 1, 2+
+	// folds counts the per-class run folds by path: the per-fragment
+	// loop (runs shorter than foldRunMin) and addN.
+	var folds [2]int
+	check := func(cfg *Config, e *Evaluator, f *fragment.Fragmentation) {
+		ev, err := e.Evaluate(f)
+		if err != nil {
+			return
+		}
+		s, m := cfg.Schema, cfg.Mix
+		attrChecked[min(len(f.Attrs()), 2)]++
+		start := 0
+		for _, end := range runEnds(nil, ev.Geometry.SizeClasses()) {
+			path := 0
+			if int(end)-start >= foldRunMin {
+				path = 1
+			}
+			folds[path] += len(m.Classes)
+			start = int(end)
+		}
+		for i := range m.Classes {
+			plan := PlanClass(s, f, ev.Scheme, &m.Classes[i])
+			want := naiveClassCost(cfg, f, ev.Geometry, ev.Placement, &plan,
+				ev.FactPrefetch, ev.BitmapPrefetch)
+			got := ev.PerClass[i]
+			got.Weight = 0 // naive reference prices one class, not the mix
+			compareClassCost(t, f.Name(s)+"/"+m.Classes[i].Name, got, want)
+			checked++
+		}
+	}
 	for trial := 0; trial < 40; trial++ {
 		s := randomBoundStar(rng)
 		m, err := workload.RandomMix(s, 1+rng.Intn(5), rng.Int63())
@@ -277,29 +309,44 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 		single := fragment.MustNew(s, schema.AttrRef{Dim: dim, Level: rng.Intn(len(s.Dimensions[dim].Levels))})
 		cands = append(cands, &fragment.Fragmentation{}, single)
 		for _, f := range cands {
-			ev, err := e.Evaluate(f)
-			if err != nil {
-				continue
-			}
-			attrChecked[min(len(f.Attrs()), 2)]++
-			for i := range m.Classes {
-				plan := PlanClass(s, f, ev.Scheme, &m.Classes[i])
-				want := naiveClassCost(cfg, f, ev.Geometry, ev.Placement, &plan,
-					ev.FactPrefetch, ev.BitmapPrefetch)
-				got := ev.PerClass[i]
-				got.Weight = 0 // naive reference prices one class, not the mix
-				compareClassCost(t, f.Name(s)+"/"+m.Classes[i].Name, got, want)
-				checked++
-			}
+			check(cfg, e, f)
 		}
 	}
+
+	s := apb.Schema(24_000_000)
+	m, err := apb.Mix(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &Config{Schema: s, Mix: m, Disk: apb.Disk(64), MaxFragments: 1 << 20}
+	e, err := NewEvaluator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range [][]string{
+		{"Customer.store", "Time.month"},                        // one run of 21,600
+		{"Product.family", "Customer.retailer", "Time.quarter"}, // 150 runs
+		{"Product.group", "Customer.retailer"},                  // long and short runs alternate
+		{"Product.class", "Customer.retailer", "Time.year"},     // 1,210 runs, 4 size classes
+	} {
+		f, err := fragment.Parse(s, name...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(cfg, e, f)
+	}
+
 	if checked < 300 {
 		t.Fatalf("kernel property sweep only checked %d class costs", checked)
 	}
 	if attrChecked[0] == 0 || attrChecked[1] == 0 || attrChecked[2] == 0 {
 		t.Fatalf("candidates checked by attribute count (0, 1, 2+) = %v; every shape must be covered", attrChecked)
 	}
-	t.Logf("kernel property: %d class costs bit-identical; candidates by attribute count (0, 1, 2+) = %v", checked, attrChecked)
+	if folds[0] == 0 || folds[1] == 0 {
+		t.Fatalf("run folds checked by path (per-fragment, addN) = %v; both paths must be covered", folds)
+	}
+	t.Logf("kernel property: %d class costs bit-identical; candidates by attribute count (0, 1, 2+) = %v; run folds by path (per-fragment, addN) = %v",
+		checked, attrChecked, folds)
 }
 
 // dimOutcomeCases are the (fragCard, queryCard) shapes the outcome-table
@@ -512,6 +559,7 @@ func BenchmarkEvaluateSizeClasses(b *testing.B) {
 	b.Run("kernel", func(b *testing.B) {
 		sc := e.NewScratch(nil)
 		sc.resize(ev.Placement.Disks, len(best.Attrs()), len(m.Classes))
+		sc.runs = runEnds(sc.runs, ev.Geometry.SizeClasses())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e.evaluateClass(best, ev.Geometry, ev.Placement, &plan,
@@ -640,4 +688,96 @@ func BenchmarkPriceSizeClasses(b *testing.B) {
 			e.priceSizeClasses(&plans[i], ev.Geometry.PageSize, sz, ev.FactPrefetch, ev.BitmapPrefetch, sc)
 		}
 	}
+}
+
+// addLoop is addN's reference: n sequential s += x.
+func addLoop(s, x float64, n int) float64 {
+	for range n {
+		s += x
+	}
+	return s
+}
+
+// checkAddN asserts that addN(s, x, n) has the reference's bit pattern.
+func checkAddN(t *testing.T, s, x float64, n int) {
+	t.Helper()
+	if got, want := addN(s, x, n), addLoop(s, x, n); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("addN(%v, %v, %d) = %v (%#x), loop = %v (%#x)",
+			s, x, n, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestAddNMatchesLoop: addN is bit-identical to the plain loop on the
+// cases its binade argument singles out — a zero start, addends below
+// half an ulp, exact ties on the binade grid from even and odd starts,
+// addends at least the sum, subnormal sums, runs crossing many binades
+// and up to 10⁶ adds — and on random sums and addends.
+func TestAddNMatchesLoop(t *testing.T) {
+	ulp := func(s float64) float64 { return math.Nextafter(s, math.Inf(1)) - s }
+	one, odd := 1.0, math.Nextafter(1, 2) // significands even and odd
+	sub := math.SmallestNonzeroFloat64
+	type tc struct {
+		s, x float64
+		n    int
+	}
+	cases := []tc{
+		{0, 0, 5}, {0, 1, 1}, {0, 0.1, 1_000_000}, {0, 3, 1_000_000},
+		{math.Copysign(0, -1), 0, 3}, {math.Copysign(0, -1), 2.5, 100},
+		{one, ulp(one) / 4, 1000}, {1e16, 0.9, 1000}, {1e16, 1.1, 1000},
+		{1e300, 1e-300, 1_000_000},
+		{3, 3, 1_000_000}, {1, 1e6, 1000}, {0.5, 1e10, 64},
+		{sub, sub, 1_000_000}, {5 * sub, 3 * sub, 1000}, {0x1p-1021 - 3*sub, sub, 10},
+		{0x1p-1022 - sub, sub, 10}, {0x1p-1030, 0x1p-1030, 1 << 20},
+		{math.MaxFloat64 / 2, math.MaxFloat64 / 1e6, 1_000_000},
+		{math.MaxFloat64, math.MaxFloat64, 2},
+	}
+	for _, s := range []float64{one, odd, 1 << 40, 3.0 / 7, 1e16} {
+		u := ulp(s)
+		for k := 0.0; k < 6; k++ {
+			cases = append(cases, tc{s, (k + 0.5) * u, 10_000}, tc{s, (k + 0.5) * u, 1_000_000})
+			cases = append(cases, tc{s, k * u, 10_000}, tc{s, k*u + u/4, 10_000})
+		}
+		// Ties of the next binades' grids, met after the sum has grown.
+		cases = append(cases, tc{s, 2.5 * u, 1_000_000}, tc{s, 4.5 * u, 1_000_000})
+		for n := 0; n <= 2*foldRunMin; n++ {
+			cases = append(cases, tc{s, 1.5 * u, n}, tc{s, s / 3, n})
+		}
+	}
+	for _, c := range cases {
+		checkAddN(t, c.s, c.x, c.n)
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 2000; i++ {
+		s := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		var x float64
+		switch rng.Intn(3) {
+		case 0: // an independent addend, of any relative size
+			x = math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		case 1: // a tie or near-tie on s's grid
+			x = (float64(rng.Intn(8)) + 0.5) * ulp(s) * float64(1+rng.Intn(2))
+		default: // the evaluator's regime: many similar, small addends
+			x = s * math.Ldexp(1+rng.Float64(), -10-rng.Intn(40))
+		}
+		checkAddN(t, s, x, rng.Intn(5000))
+	}
+}
+
+// FuzzAddN extends TestAddNMatchesLoop to fuzzer-chosen sums, addends
+// and counts; negative inputs are folded to their magnitudes, non-finite
+// ones skipped, and n is taken modulo 2^17.
+func FuzzAddN(f *testing.F) {
+	f.Add(0.0, 0.1, uint32(100_000))
+	f.Add(1.0, 0x1p-53, uint32(1000))
+	f.Add(math.Nextafter(1, 2), 0x1p-53, uint32(1000))
+	f.Add(1.0, 3*0x1p-53, uint32(100_000))
+	f.Add(math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, uint32(100_000))
+	f.Add(1e16, 1.0, uint32(50))
+	f.Fuzz(func(t *testing.T, s, x float64, n uint32) {
+		s, x = math.Abs(s), math.Abs(x)
+		if math.IsInf(s, 0) || math.IsNaN(s) || math.IsInf(x, 0) || math.IsNaN(x) {
+			t.Skip()
+		}
+		checkAddN(t, s, x, int(n%(1<<17)))
+	})
 }

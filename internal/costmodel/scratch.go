@@ -16,6 +16,10 @@ type Scratch struct {
 	// priced (see kernel.go); every entry is overwritten by
 	// priceSizeClasses before use.
 	cls []sizeClassCost
+	// runs holds the exclusive end of every run of equal size classes of
+	// the candidate's geometry (see runEnds); filled once per candidate
+	// and shared by its classes' folds in evaluateClass.
+	runs []int32
 	// busy accumulates per-disk busy time in evaluateClass (zeroed per
 	// class); rbusy is the hit-pattern enumeration's accumulator, kept
 	// all-zero between patterns by the enumeration itself.

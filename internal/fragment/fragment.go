@@ -195,6 +195,10 @@ type SizeClasses struct {
 	Pages []int64
 	// Count[c] is the number of fragments in class c.
 	Count []int64
+	// Runs is the number of maximal runs of equal ClassOf entries, so
+	// that a pass folding each run at once (costmodel's evaluateClass)
+	// can size its run buffer up front.
+	Runs int
 	// SumRows is the sum of all fragments' rows, accumulated in logical
 	// fragment order.
 	SumRows float64
@@ -226,7 +230,7 @@ func newClassifier(sz *SizeClasses, n int64) classifier {
 // add appends the next fragment's size to the table. Neighbouring
 // fragments usually share a size (the last attribute varies fastest, and
 // a uniform one keeps the size), so a fragment equal to its predecessor
-// reuses its class without hashing.
+// reuses its class without hashing; any other fragment starts a new run.
 func (b *classifier) add(rows float64, pages int64) {
 	sz := b.sz
 	sz.SumRows += rows
@@ -241,6 +245,7 @@ func (b *classifier) add(rows float64, pages int64) {
 			sz.Count = append(sz.Count, 0)
 		}
 		b.prev = k
+		sz.Runs++
 	}
 	sz.Count[b.c]++
 	sz.ClassOf = append(sz.ClassOf, b.c)

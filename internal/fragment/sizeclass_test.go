@@ -90,7 +90,8 @@ func TestSizeClasses(t *testing.T) {
 }
 
 // mapSizeClasses is the reference size-class build: one map lookup per
-// fragment, classes numbered by first appearance.
+// fragment, classes numbered by first appearance, and a run counted at
+// every fragment whose class differs from its predecessor's.
 func mapSizeClasses(rows []float64, pages []int64) *SizeClasses {
 	sz := &SizeClasses{ClassOf: make([]int32, len(pages))}
 	index := map[sizeKey]int32{}
@@ -107,6 +108,9 @@ func mapSizeClasses(rows []float64, pages []int64) *SizeClasses {
 		}
 		sz.Count[c]++
 		sz.ClassOf[v] = c
+		if v == 0 || sz.ClassOf[v-1] != c {
+			sz.Runs++
+		}
 	}
 	return sz
 }
@@ -130,6 +134,9 @@ func sameSizeClasses(got, want *SizeClasses) string {
 	}
 	if !slices.Equal(got.Count, want.Count) {
 		return "Count"
+	}
+	if got.Runs != want.Runs {
+		return "Runs"
 	}
 	if math.Float64bits(got.SumRows) != math.Float64bits(want.SumRows) {
 		return "SumRows"

@@ -286,6 +286,13 @@ func TestJobAdviseLifecycle(t *testing.T) {
 	if st.Progress.ScenariosDone != 1 || st.Progress.ScenariosTotal != 1 {
 		t.Fatalf("progress: %+v", st.Progress)
 	}
+	// The job reports the prune split the daemon counted for its advisory.
+	m := metrics(t, srv)
+	if p := st.Progress; p.PruneEvaluated == 0 || int64(p.PruneEvaluated) != m["warlockd_prune_evaluated_total"] ||
+		int64(p.PruneSkipped) != m["warlockd_prune_skipped_total"] {
+		t.Fatalf("job progress prune %d/%d, metrics %d/%d", p.PruneEvaluated, p.PruneSkipped,
+			m["warlockd_prune_evaluated_total"], m["warlockd_prune_skipped_total"])
+	}
 	if st.StartedAt == nil || st.FinishedAt == nil {
 		t.Fatalf("missing timestamps: %+v", st)
 	}
@@ -335,7 +342,7 @@ func TestJobAdviseLifecycle(t *testing.T) {
 		t.Fatalf("list: %+v", list)
 	}
 
-	m := metrics(t, srv)
+	m = metrics(t, srv)
 	if m["warlockd_jobs_submitted_total"] != 1 || m["warlockd_jobs_coalesced_total"] != 1 || m[`warlockd_jobs_total{state="done"}`] != 1 ||
 		m["warlockd_job_scenarios_completed_total"] != 1 || m["warlockd_jobs_stored"] != 1 {
 		t.Fatalf("job metrics: %v", m)

@@ -372,7 +372,7 @@ func (s *Server) parseAdvise(body io.Reader) (*request, error) {
 		return nil, err
 	}
 	fp := doc.Fingerprint()
-	return &request{fp: fp, scenarios: 1, build: func(*jobs.Job) (*core.Input, string, runFunc, error) {
+	return &request{fp: fp, scenarios: 1, build: func(j *jobs.Job) (*core.Input, string, runFunc, error) {
 		// Build from the canonical ordering so every document sharing this
 		// fingerprint evaluates bit-identically (float accumulations over
 		// the mix are order-sensitive in the last ulp).
@@ -388,6 +388,12 @@ func (s *Server) parseAdvise(body io.Reader) (*request, error) {
 				return outcome{}, err
 			}
 			s.countDiagnostics(res)
+			if j != nil {
+				j.Update(func(p *jobs.Progress) {
+					p.PruneEvaluated += res.PruneStats.Evaluated
+					p.PruneSkipped += res.PruneStats.Skipped
+				})
+			}
 			return outcome{res.Partial, func() ([]byte, error) {
 				return json.MarshalIndent(buildAdviseResponse(fp, in, res), "", "  ")
 			}}, nil
@@ -478,6 +484,15 @@ func (s *Server) serve(ep *endpoint) http.HandlerFunc {
 			return
 		}
 
+		// A deadline reads as expired only once its timer fires, which a
+		// busy machine can delay past the whole evaluation. So the clock
+		// decides, before the run and after it, unless the endpoint
+		// degrades to a partial answer at the deadline instead of 504.
+		strict := ep.kind != kindAdvise || !s.allowPartial
+		if strict && deadlinePassed(reqCtx) {
+			status = s.writeAdvisoryError(w, r, reqCtx, context.DeadlineExceeded)
+			return
+		}
 		run := func(ctx context.Context) ([]byte, error) { return s.lead(ctx, ep, req, st, nil) }
 		b, err, joined := ep.flight.Do(reqCtx, s.baseCtx, fp, run)
 		if joined {
@@ -489,6 +504,9 @@ func (s *Server) serve(ep *endpoint) http.HandlerFunc {
 			// is healthy, so run a fresh flight (cheap if the dead flight
 			// already cached its result).
 			b, err, _ = ep.flight.Do(reqCtx, s.baseCtx, fp, run)
+		}
+		if err == nil && strict && deadlinePassed(reqCtx) {
+			err = context.DeadlineExceeded
 		}
 		if err != nil {
 			status = s.writeAdvisoryError(w, r, reqCtx, err)
@@ -739,6 +757,16 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// deadlinePassed reports whether ctx ended by its deadline, or has a
+// deadline the clock has reached though its timer has not fired yet.
+func deadlinePassed(ctx context.Context) bool {
+	if err := ctx.Err(); err != nil {
+		return errors.Is(err, context.DeadlineExceeded)
+	}
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
+}
+
 // parseErrorClass maps request decoding failures: an oversized body is
 // 413 (the *http.MaxBytesError survives config's error wrapping), any
 // other parse failure is the client's 400.
@@ -771,7 +799,7 @@ func (s *Server) advisoryErrorClass(reqCtx context.Context, err error) errorClas
 		case s.baseCtx.Err() != nil:
 			return errorClass{http.StatusServiceUnavailable, CodeShutdown, 0,
 				errors.New("advisory cancelled: server shutting down")}
-		case errors.Is(reqCtx.Err(), context.DeadlineExceeded):
+		case deadlinePassed(reqCtx):
 			return errorClass{http.StatusGatewayTimeout, CodeDeadline, 0,
 				errors.New("advisory timed out before completing (request timeout exceeded)")}
 		case errors.Is(reqCtx.Err(), context.Canceled):
