@@ -32,10 +32,12 @@
 // repro/warlock package docs under "Error codes".
 // The pipeline prunes with branch and bound: an admissible lower bound on
 // each candidate's cost pair (costmodel.LowerBound — per-class service-time
-// floors, no geometry, no allocation) is checked against the ranking
-// collector's admission cutoff, and provable losers skip the full
-// evaluation; results are bit-identical with pruning on or off
-// (Input.DisablePruning), and Result.PruneStats reports the work saved.
+// floors at each usable prefetch granule, no geometry, no allocation) is
+// computed once, candidates are evaluated best-first in ascending bound
+// order, and a provable loser under the ranking collector's admission
+// cutoff skips the full evaluation; results are bit-identical with
+// pruning on or off (Input.DisablePruning), and Result.PruneStats reports
+// the work saved.
 //
 // # Concurrency and performance
 //

@@ -92,7 +92,10 @@ type Input struct {
 	// cancellation is bit-identical to a normal run (Partial stays
 	// false). Which candidates a partial run covered is inherently
 	// timing-dependent — partial results are best-effort by definition
-	// and are excluded from every bit-identity surface.
+	// and are excluded from every bit-identity surface. With pruning on,
+	// the workers take candidates in ascending lower-bound order, not
+	// enumeration order, so a partial run has priced the likeliest
+	// winners first.
 	AllowPartial bool
 	// Faults optionally arms the fault-injection harness on this
 	// advisory's evaluation path (failpoint FaultEvaluate, fired once per
@@ -157,7 +160,10 @@ type Fault struct {
 // advisory. Candidates the threshold pre-check excluded appear in
 // Result.Excluded, not here; on a complete run
 // Evaluated + Skipped + len(pre-check exclusions) covers the whole
-// enumeration and Remaining is 0.
+// enumeration and Remaining is 0. A cancelled run reaches its verdicts
+// in dispatch order — ascending lower-bound access cost when pruning is
+// on, enumeration order otherwise — so its Remaining candidates are a
+// tail of that order.
 type Coverage struct {
 	// Evaluated counts candidates that completed the evaluation stage:
 	// fully priced (retained or not), excluded by the post-evaluation
@@ -195,12 +201,15 @@ type StageTimings struct {
 }
 
 // PruneStats summarizes the branch-and-bound pruning stage of one
-// advisory. Enabled and Survivors are deterministic; the
-// Evaluated/Skipped split depends on worker scheduling (a candidate
-// evaluated before the admission cutoff tightens would have been skipped
-// under another schedule) and is diagnostic only — it is deliberately
-// excluded from every bit-identity surface (reports, goldens, service
-// response bodies).
+// advisory: every survivor is bounded once, the survivors are evaluated
+// best-first (ascending lower-bound access cost), and a survivor whose
+// bound the collector's admission cutoff rejects is skipped. Enabled and
+// Survivors are deterministic, and so is the Evaluated/Skipped split at
+// Parallelism 1. With more workers the split depends on scheduling (a
+// candidate evaluated before the admission cutoff tightens would have
+// been skipped under another schedule), so it is diagnostic only — it is
+// deliberately excluded from every bit-identity surface (reports,
+// goldens, service response bodies).
 type PruneStats struct {
 	// Enabled reports whether the pruning stage was active (see
 	// Input.DisablePruning for the auto-disable conditions).

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,22 +19,28 @@ import (
 
 // The prediction layer runs as one evaluation loop:
 //
-//	enumerate + prune (thresholds) ──► bound (branch & bound) ──► evaluate (N workers) ──► rank (top-k)
+//	enumerate + prune (thresholds) ──► bound + order (best-first) ──► evaluate (N workers) ──► rank (top-k)
 //
 // The calling goroutine enumerates the candidates and runs the threshold
 // pre-check, collecting the survivors into a slice before any geometry
 // exists (enumeration is a negligible share of an advisory). A worker
 // pool then prices the survivors with one shared goroutine-safe
-// costmodel.Evaluator: each worker claims the next survivor index from
-// a shared atomic cursor and writes its verdict into that index's result
-// slot, so the result slice is in enumeration order without a sort. The
-// workers feed a streaming rank.Collector, which maintains the twofold
-// top-k as evaluations complete. Between the pre-check and the full
-// evaluation sits a branch-and-bound stage: once the collector's bounded
-// heap fills, each worker first compares the candidate's admissible cost
-// lower bound (costmodel.LowerBound — no geometry, no allocation)
-// against the heap's published admission cutoff and skips the
-// evaluation of provable losers.
+// costmodel.Evaluator: each worker claims the next survivor from a
+// shared atomic cursor over the dispatch order and writes its verdict
+// into that survivor's enumeration-indexed result slot, so the result
+// slice is in enumeration order without a sort. The workers feed a
+// streaming rank.Collector, which maintains the twofold top-k as
+// evaluations complete. Between the pre-check and the full evaluation
+// sits a branch-and-bound stage. The calling goroutine computes each
+// survivor's admissible cost lower bound once (costmodel.LowerBound — no
+// geometry, no allocation) and orders dispatch best-first: ascending
+// lower-bound access cost, the ranking's phase-1 key, stable on
+// enumeration index, with unbounded survivors last. Once the collector's
+// bounded heap fills, each worker compares the claimed candidate's
+// stored bound against the heap's published admission cutoff and skips
+// the evaluation of provable losers. Best-first dispatch prices the
+// likeliest winners first, so the cutoff tightens before the losers
+// come up. With pruning off, dispatch follows enumeration order.
 //
 // The evaluation stage is organized for throughput on two levels:
 //
@@ -63,6 +71,13 @@ type evalResult struct {
 	fault   *Fault                // evaluation panicked; isolated
 	skipped bool                  // pruned: lower bound proved it a loser
 	done    bool                  // evaluated: exactly one of ev, vio, err, fault is set
+}
+
+// candidateBound is one survivor's admissible cost-pair lower bound
+// (costmodel.LowerBound); ok is false when the candidate has none.
+type candidateBound struct {
+	cost, resp time.Duration
+	ok         bool
 }
 
 // redactPanic renders a recovered panic value for Result.Faults: the
@@ -166,16 +181,46 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 		survivors = append(survivors, f)
 	}
 
-	// Stage 2: parallel evaluation + post-evaluation threshold check +
+	// Stage 2: bound + order. order holds the survivors' enumeration
+	// indices in dispatch order: best-first by lower-bound access cost
+	// when pruning (stable, unbounded survivors last), enumeration order
+	// otherwise.
+	order := make([]int, len(survivors))
+	for i := range order {
+		order[i] = i
+	}
+	var bounds []candidateBound
+	if pruneOn {
+		bounds = make([]candidateBound, len(survivors))
+		for i, f := range survivors {
+			b := &bounds[i]
+			b.cost, b.resp, b.ok = eval.LowerBound(f)
+		}
+		slices.SortStableFunc(order, func(x, y int) int {
+			bx, by := &bounds[x], &bounds[y]
+			if bx.ok != by.ok {
+				if bx.ok {
+					return -1
+				}
+				return 1
+			}
+			if !bx.ok {
+				return 0
+			}
+			return cmp.Compare(bx.cost, by.cost)
+		})
+	}
+
+	// Stage 3: parallel evaluation + post-evaluation threshold check +
 	// collection. The shared Evaluator is goroutine-safe and every
 	// evaluation is pure, so worker scheduling cannot influence any
 	// result. Each worker owns one Scratch for its lifetime and claims
-	// survivors through the shared cursor until it runs dry or the
-	// context fails. The collector ingests verdicts as they complete
-	// (its total-order tie-break makes arrival order irrelevant); Add
-	// and AddSkipped are serialized by collMu, while the workers read
-	// the atomically published admission cutoff lock-free. Skipped
-	// candidates still enter the pool count (AddSkipped) so the
+	// the next survivor of order through the shared cursor until it runs
+	// dry or the context fails. The collector ingests verdicts as they
+	// complete (its total-order tie-break makes arrival order
+	// irrelevant); Add and AddSkipped are serialized by collMu, while the
+	// workers read the atomically published admission cutoff lock-free.
+	// Skipped candidates still enter the pool count (AddSkipped) so the
 	// leading-set fraction matches the unpruned run exactly.
 	coll := rank.NewCollector(in.Rank, maxCands)
 	results := make([]evalResult, len(survivors))
@@ -224,15 +269,15 @@ func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
 				return r
 			}
 			for ctx.Err() == nil {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(survivors) {
+				next := int(cursor.Add(1) - 1)
+				if next >= len(order) {
 					return
 				}
+				i := order[next]
 				f := survivors[i]
 				if pruneOn {
 					if cut, ok := coll.Cutoff(); ok {
-						if lbCost, lbResp, bounded := eval.LowerBound(f); bounded &&
-							!cut.Admits(lbCost, lbResp, f.Key()) {
+						if lb := &bounds[i]; lb.ok && !cut.Admits(lb.cost, lb.resp, f.Key()) {
 							// The bound proves the candidate cannot beat the
 							// worst retained evaluation (and the cutoff only
 							// tightens), so skipping it cannot change any

@@ -19,7 +19,7 @@ import (
 
 func TestPrunedMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(4097))
-	compared := 0
+	compared, skipped := 0, 0
 	for trial := 0; trial < 25; trial++ {
 		s := randomStar(rng)
 		m, err := workload.RandomMix(s, 1+rng.Intn(6), rng.Int63())
@@ -47,12 +47,42 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 			}
 			assertIdenticalResults(t, trial, par, rp, ru)
 			compared++
+			skipped += rp.PruneStats.Skipped
 		}
 	}
 	if compared < 20 {
 		t.Fatalf("pruning identity sweep only compared %d advisories", compared)
 	}
-	t.Logf("pruning identity: %d advisories compared", compared)
+	// An identity check over runs that skip nothing proves nothing about
+	// skipping.
+	if skipped == 0 {
+		t.Fatal("pruning identity sweep skipped no candidate")
+	}
+	t.Logf("pruning identity: %d advisories compared, %d candidates skipped", compared, skipped)
+}
+
+// TestPruningSkipsOnPaperScale guards the pruning stage's liveness on the
+// default path: on APB-1 at 24M rows and 64 disks, with the advisor
+// choosing the prefetch granule, best-first evaluation under the
+// granule-aware bound skips a large share of the survivors. One worker
+// makes the count deterministic.
+func TestPruningSkipsOnPaperScale(t *testing.T) {
+	s := apb.Schema(24_000_000)
+	m, err := apb.Mix(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Advise(&Input{Schema: s, Mix: m, Disk: apb.Disk(64), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := res.PruneStats
+	if ps.Survivors != 73 {
+		t.Fatalf("%d survivors, want 73", ps.Survivors)
+	}
+	if ps.Skipped < 20 {
+		t.Fatalf("pruning skipped %d of %d survivors, want at least 20", ps.Skipped, ps.Survivors)
+	}
 }
 
 // assertIdenticalResults checks every deterministic surface of the two

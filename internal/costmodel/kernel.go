@@ -29,7 +29,7 @@ import (
 // the representative average size, sharing the table's cached row sum,
 // through FragmentCost) price sizes here, and lowerbound.go's admissible
 // floor prices its single size, the one fact row, with the same
-// touchProb form (boundState.perRowFloor).
+// touchProb form (LowerBound).
 // The placement's inputs are priced per size class too: the co-located
 // bitmap pages of one fragment (classBitmapPages) and the scheme's bitmap
 // footprint (bitmap.IndexPages) are computed once per class, and only
@@ -81,23 +81,22 @@ func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment
 	hp := plan.HitProb
 	lq := math.Log1p(-plan.IndexedSel)
 	for c := range cls {
+		// Fields are assigned in place: building a literal and copying
+		// it costs a block copy per size class.
+		k := &cls[c]
 		if sz.Pages[c] == 0 {
-			cls[c] = sizeClassCost{}
+			*k = sizeClassCost{}
 			continue
 		}
 		rows := sz.Rows[c]
-		io := fragmentCost(plan, pageSize, sz.Pages[c], rows, factGranule, bmGranule, lq)
-		tv := io.Seconds(&e.cfg.Disk)
-		cls[c] = sizeClassCost{
-			io:          io,
-			tv:          tv,
-			sel:         hp * rows * plan.RowSel,
-			factIOs:     hp * io.FactIOs,
-			factPages:   hp * io.FactPages,
-			bitmapIOs:   hp * io.BitmapIOs,
-			bitmapPages: hp * io.BitmapPages,
-			w:           hp * tv,
-		}
+		k.io = fragmentCost(plan, pageSize, sz.Pages[c], rows, factGranule, bmGranule, lq)
+		k.tv = k.io.Seconds(&e.cfg.Disk)
+		k.sel = hp * rows * plan.RowSel
+		k.factIOs = hp * k.io.FactIOs
+		k.factPages = hp * k.io.FactPages
+		k.bitmapIOs = hp * k.io.BitmapIOs
+		k.bitmapPages = hp * k.io.BitmapPages
+		k.w = hp * k.tv
 	}
 	return cls
 }

@@ -2,8 +2,11 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/apb"
 	"repro/internal/fragment"
@@ -163,6 +166,85 @@ func TestLowerBoundAPB1(t *testing.T) {
 	if tightEnough*2 < bounded {
 		t.Fatalf("cost bound above 25%% of actual for only %d of %d candidates", tightEnough, bounded)
 	}
+}
+
+// twoEndedLowerBound is the bound before it became granule-aware, kept
+// as a reference: the page term floored at the smallest usable granule
+// and the positioning term at the largest, each on its own.
+func twoEndedLowerBound(e *Evaluator, f *fragment.Fragmentation) (lbCost, lbResp time.Duration, ok bool) {
+	b := e.boundTables()
+	if !b.ok || !b.bounds(f) {
+		return 0, 0, false
+	}
+	gLo, gHi := slices.Min(b.granules), slices.Max(b.granules)
+	var acc, resp float64
+	for i := range e.cfg.Mix.Classes {
+		hp, pLB, hitShare := e.classFloor(b, f, i)
+		lq := math.Log1p(-pLB)
+		perRow := touchProb(b.rho*gLo, lq)/b.rho*b.xfer + touchProb(b.rho*gHi, lq)/(b.rho*gHi)*b.pos
+		base := perRow * b.rows
+		acc += e.weights[i] * hp * base
+		resp += e.weights[i] * base * hitShare / b.disks
+	}
+	classes := float64(len(e.cfg.Mix.Classes))
+	return floorDuration(acc, classes), floorDuration(resp, classes), true
+}
+
+// TestLowerBoundAPB1FreeGranule checks the bound on the default path,
+// where the advisor chooses the fact granule: on paper-scale APB-1 the
+// bound is admissible and strictly positive for every threshold
+// survivor, never looser than the two-ended reference floor, and
+// strictly tighter for most of them.
+func TestLowerBoundAPB1FreeGranule(t *testing.T) {
+	s := apb.Schema(24_000_000)
+	m, err := apb.Mix(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := apb.Disk(64)
+	ev, err := NewEvaluator(&Config{Schema: s, Mix: m, Disk: d, MaxFragments: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pipeline's default thresholds when the granule is not pinned.
+	th := fragment.Thresholds{MinAvgFragmentPages: 16, MaxFragments: 1 << 20}
+	bounded, tighter := 0, 0
+	for _, f := range fragment.Enumerate(s) {
+		if th.PreCheck(s, f, d.PageSize) != nil {
+			continue
+		}
+		full, err := ev.Evaluate(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(s), err)
+		}
+		lbCost, lbResp, ok := ev.LowerBound(f)
+		if !ok {
+			t.Fatalf("%s: no bound on the reference schema", f.Name(s))
+		}
+		if lbCost > full.AccessCost || lbResp > full.ResponseTime {
+			t.Fatalf("%s: bound (%v,%v) exceeds actual (%v,%v) at granule %d",
+				f.Name(s), lbCost, lbResp, full.AccessCost, full.ResponseTime, full.FactPrefetch)
+		}
+		if lbCost <= 0 || lbResp <= 0 {
+			t.Fatalf("%s: degenerate zero bound", f.Name(s))
+		}
+		refCost, refResp, _ := twoEndedLowerBound(ev, f)
+		if lbCost < refCost || lbResp < refResp {
+			t.Fatalf("%s: bound (%v,%v) looser than the two-ended floor (%v,%v)",
+				f.Name(s), lbCost, lbResp, refCost, refResp)
+		}
+		bounded++
+		if lbCost > refCost {
+			tighter++
+		}
+	}
+	if bounded != 73 {
+		t.Fatalf("%d survivors bounded, want 73", bounded)
+	}
+	if tighter*2 < bounded {
+		t.Fatalf("cost bound tighter than the two-ended floor for only %d of %d survivors", tighter, bounded)
+	}
+	t.Logf("cost bound tighter than the two-ended floor for %d of %d survivors", tighter, bounded)
 }
 
 // TestLowerBoundAllocationFree verifies the bound's hot path allocates

@@ -27,9 +27,10 @@
 // # Concurrency
 //
 // The prediction layer runs as one evaluation loop: candidate
-// enumeration and threshold pruning, a branch-and-bound stage
-// that skips candidates whose admissible cost lower bound proves they
-// cannot enter the retained set (Result.PruneStats reports the split;
+// enumeration and threshold pruning, a branch-and-bound stage that
+// dispatches candidates best-first by their admissible cost lower bound
+// and skips those whose bound proves they cannot enter the retained set
+// (Result.PruneStats reports the split;
 // Input.DisablePruning turns it off for A/B runs), a pool of cost-model
 // workers, and a streaming top-k ranking stage. Input.Parallelism sets
 // the worker count (<= 0 uses GOMAXPROCS); results are bit-for-bit
